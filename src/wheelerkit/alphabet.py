@@ -84,10 +84,6 @@ def colex_compare(alphabet, a, b):
     return ColexVerdict.EQUAL
 
 
-def colex_less(alphabet, a, b):
-    return alphabet.colex_key(a) < alphabet.colex_key(b)
-
-
 def is_suffix(a, b):
     """True iff word `a` is a suffix of word `b` (epsilon suffixes everything)."""
     if len(a) > len(b):

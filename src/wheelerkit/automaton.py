@@ -7,6 +7,7 @@ Every operation is a pure function returning fresh values.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -117,6 +118,38 @@ def dfa_walk(d, w, start=None):
     return q
 
 
+def shortest_entering_words(a, per_state=None, max_len=None, budget=None):
+    """Words entering each state, by (length, co-lex), best first.
+
+    Keeps the first `per_state` words of each state (all when None), extends
+    no word past `max_len`, and stops after `budget` heap pops.  Returns the
+    words per state and whether the budget cut the walk short.  Words are
+    settled when popped, not when pushed: a later predecessor at the same
+    distance may enter through a smaller symbol.
+    """
+    key = a.alphabet.colex_key
+    syms = a.alphabet.symbols
+    words = {q: [] for q in range(a.n)}
+    heap = [(0, (), a.initial)]
+    pops = 0
+    while heap:
+        pops += 1
+        if budget is not None and pops > budget:
+            return {q: tuple(ws) for q, ws in words.items()}, True
+        _, kw, q = heapq.heappop(heap)
+        if per_state is not None and len(words[q]) >= per_state:
+            continue
+        w = tuple(syms[i] for i in reversed(kw))
+        words[q].append(w)
+        if max_len is not None and len(w) >= max_len:
+            continue
+        for sym in syms:
+            for t in a.out_map.get((q, sym), ()):
+                if per_state is None or len(words[t]) < per_state:
+                    heapq.heappush(heap, (len(w) + 1, key(w + (sym,)), t))
+    return {q: tuple(ws) for q, ws in words.items()}, False
+
+
 def parse_automaton(text):
     """Parse the line-oriented automaton format.
 
@@ -130,10 +163,13 @@ def parse_automaton(text):
             continue
         lines.append((lineno, stripped.split()))
 
+    rest = iter(lines)
+
     def take(expected):
-        if not lines:
+        line = next(rest, None)
+        if line is None:
             raise FormatError(f"missing {expected} line")
-        lineno, toks = lines.pop(0)
+        lineno, toks = line
         if toks[0] != expected:
             raise FormatError(f"expected {expected!r}, found {toks[0]!r}", lineno)
         return lineno, toks[1:]
@@ -145,14 +181,15 @@ def parse_automaton(text):
         raise FormatError(str(exc), lineno) from None
 
     lineno, toks = take("states")
-    if len(toks) != 1 or not toks[0].isdigit():
+    # ASCII digits only: str.isdigit() also accepts digits such as '²'
+    if len(toks) != 1 or not (toks[0].isascii() and toks[0].isdigit()):
         raise FormatError("states wants one non-negative integer", lineno)
     n = int(toks[0])
     if n < 1:
         raise FormatError("states must be at least 1", lineno)
 
     def state_id(tok, lineno):
-        if not tok.isdigit() or not int(tok) < n:
+        if not (tok.isascii() and tok.isdigit()) or not int(tok) < n:
             raise FormatError(f"undefined state {tok!r}", lineno)
         return int(tok)
 
@@ -165,7 +202,7 @@ def parse_automaton(text):
     finals = frozenset(state_id(t, lineno) for t in toks)
 
     edges = set()
-    for lineno, toks in lines:
+    for lineno, toks in rest:
         if toks[0] != "edge":
             raise FormatError(f"expected 'edge', found {toks[0]!r}", lineno)
         if len(toks) != 4:
@@ -307,8 +344,7 @@ def canonical_dfa(d):
         raise NotDeterministic("canonical numbering wants a DFA")
     rename = {d.initial: 0}
     queue = [d.initial]
-    while queue:
-        q = queue.pop(0)
+    for q in queue:  # breadth first: the loop reads what it appends
         for sym in d.alphabet.symbols:
             t = d.dstep(q, sym)
             if t is not None and t not in rename:
@@ -399,6 +435,7 @@ def to_dot(a, ranks=None):
     lines.append(f"  __init -> {a.initial};")
     pos = a.alphabet.position
     for (u, sym, v) in sorted(a.edges, key=lambda e: (e[0], pos[e[1]], e[2])):
-        lines.append(f'  {u} -> {v} [label="{sym}"];')
+        label = sym.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {u} -> {v} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -23,9 +23,7 @@ from .automaton import (
 from .errors import (
     AlphabetTooLarge,
     ConstructionInconsistent,
-    FormatError,
     InfeasibleEnumeration,
-    PreconditionViolated,
     SearchBudgetExceeded,
     StateBlowupExceeded,
     TooManyElements,
@@ -53,6 +51,14 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_automaton(path):
@@ -93,7 +99,8 @@ def _parse_caps(text, n):
         if "=" not in part:
             raise _CliError(f"bad caps item {part!r} (want key=value)")
         key, _, raw = part.partition("=")
-        if key not in ("gamma", "cycle", "pump", "paths") or not raw.isdigit():
+        if key not in ("gamma", "cycle", "pump", "paths") or not (
+                raw.isascii() and raw.isdigit()):
             raise _CliError(f"bad caps item {part!r}")
         values[key] = int(raw)
     return language.SearchCaps(
@@ -171,8 +178,7 @@ def _write_wdfa(path, wdfa):
     lines = ["# state-to-representative map:"]
     for i, rep in enumerate(wdfa.representatives):
         lines.append(f"# state {i} <- {_word_text(rep) or 'epsilon'}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n".join(lines) + "\n")
+    _write(path, text + "\n".join(lines) + "\n")
 
 
 def cmd_min_wdfa(args):
@@ -234,8 +240,7 @@ def cmd_reduce(args):
             report = reductions.reduce_universality(a)
         else:
             report = reductions.reduce_nfa_wheeler_to_gw(a)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(serialize_automaton(report.automaton))
+    _write(args.output, serialize_automaton(report.automaton))
     _emit([f"{args.file}: reduction written to {args.output}"],
           [("states-added", report.states_added),
            ("symbols-added", report.symbols_added),
@@ -259,8 +264,7 @@ def cmd_export_dot(args):
         ranks = result.ranks
     text = to_dot(a, ranks=ranks)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
         _emit([f"{args.file}: DOT written to {args.output}"],
               [("output", args.output)])
     else:
@@ -331,9 +335,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
         return args.func(args)
     except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (FormatError, PreconditionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (SearchBudgetExceeded, InfeasibleEnumeration, StateBlowupExceeded,

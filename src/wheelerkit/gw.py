@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automaton import minimize, with_alphabet_order
+from .automaton import minimize, shortest_entering_words, with_alphabet_order
 from .errors import (
     AlphabetTooLarge,
     FormatError,
@@ -35,7 +35,6 @@ from .wheeler import (
     WheelerViolation,
     input_consistency,
     nfa_wheeler_search,
-    shortest_entering_words,
     verify_wheeler,
 )
 
@@ -60,14 +59,14 @@ def gw_automaton_check(a, max_sigma=DEFAULT_MAX_SIGMA, budget=10 ** 6):
     if isinstance(input_consistency(a), WheelerViolation):
         return None
     if a.deterministic:
-        entering = shortest_entering_words(a)
-        if len(entering) != a.n:
+        entering, _ = shortest_entering_words(a, per_state=1)
+        if not all(entering.values()):
             raise WheelerkitError("gw check wants a trimmed automaton")
         for symbols in perms:
             candidate = with_alphabet_order(a, symbols)
             key = candidate.alphabet.colex_key
             order = WheelerOrder.from_sequence(
-                sorted(range(a.n), key=lambda q: key(entering[q])))
+                sorted(range(a.n), key=lambda q: key(entering[q][0])))
             if verify_wheeler(candidate, order) is None:
                 return symbols
         return None

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alphabet import is_suffix
-from .automaton import determinize, dfa_walk, minimize, run, trim_basic
+from .automaton import (determinize, dfa_walk, minimize, run, shortest_entering_words,
+                        trim_basic)
 from .errors import (
     ConstructionInconsistent,
     InfeasibleEnumeration,
@@ -238,32 +239,6 @@ def _simple_cycle_labels(min_dfa, u, v, max_len, budget):
     return labels, truncated
 
 
-def _entering_words(min_dfa, max_len, budget):
-    """Words reaching each state, by (length, co-lex), best first, budgeted."""
-    import heapq
-
-    key = min_dfa.alphabet.colex_key
-    entering = {q: [] for q in range(min_dfa.n)}
-    heap = [(0, (), min_dfa.initial)]
-    pops = 0
-    truncated = False
-    while heap:
-        pops += 1
-        if pops > budget:
-            truncated = True
-            break
-        _, kw, q = heapq.heappop(heap)
-        word = tuple(min_dfa.alphabet.symbols[i] for i in reversed(kw))
-        entering[q].append(word)
-        if len(word) >= max_len:
-            continue
-        for sym in min_dfa.alphabet.symbols:
-            t = min_dfa.dstep(q, sym)
-            if t is not None:
-                heapq.heappush(heap, (len(word) + 1, key(word + (sym,)), t))
-    return {q: tuple(ws) for q, ws in entering.items()}, truncated
-
-
 def collect_candidates(min_dfa, caps):
     """Gather cycle-label candidates and entering words for the search.
 
@@ -299,7 +274,8 @@ def collect_candidates(min_dfa, caps):
                 gammas.setdefault(gamma, set()).add(pair)
                 max_gamma = max(max_gamma, len(gamma))
 
-    entering, trunc = _entering_words(min_dfa, max_gamma, caps.path_count_cap)
+    entering, trunc = shortest_entering_words(
+        min_dfa, max_len=max_gamma, budget=caps.path_count_cap)
     truncated |= trunc
     return WitnessCandidates(gammas=gammas, entering=entering, truncated=truncated)
 
@@ -355,15 +331,6 @@ def find_witness(min_dfa, caps=None):
     return search_witness(min_dfa, collect_candidates(min_dfa, caps), caps)
 
 
-def find_witness_report(min_dfa, caps=None):
-    """Like find_witness, but also reports whether the caps truncated anything."""
-    caps = caps if caps is not None else SearchCaps.default(min_dfa.n)
-    candidates = collect_candidates(min_dfa, caps)
-    witness = search_witness(min_dfa, candidates, caps)
-    covered = caps.covers(min_dfa.n) and not candidates.truncated
-    return witness, covered
-
-
 def is_language_wheeler_dfa(d, method=METHOD_BOTH, caps=None,
                             word_cap=DEFAULT_WORD_CAP):
     """Decide whether the language of a DFA is Wheeler.
@@ -383,7 +350,10 @@ def is_language_wheeler_dfa(d, method=METHOD_BOTH, caps=None,
 
     witness = covered = None
     if method in (METHOD_WITNESS, METHOD_BOTH):
-        witness, covered = find_witness_report(min_dfa, caps)
+        candidates = collect_candidates(min_dfa, caps)
+        witness = search_witness(min_dfa, candidates, caps)
+        covered = caps.covers(n) and not candidates.truncated
+        del candidates  # free the entering words before the WDFA construction
         if witness is not None and method == METHOD_WITNESS:
             return LanguageVerdict(NOT_WHEELER, witness=witness, caps=caps)
         if method == METHOD_WITNESS:

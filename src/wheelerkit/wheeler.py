@@ -13,10 +13,10 @@ decided by backtracking over the orderings inside each in-label block.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .alphabet import INITIAL_MARK
+from .automaton import shortest_entering_words
 from .errors import NotDeterministic, SearchBudgetExceeded, WheelerkitError
 
 INITIAL_IN_EDGE = "initial-has-in-edge"
@@ -172,31 +172,6 @@ def recheck_violation(a, violation, order=None):
     return False
 
 
-def shortest_entering_words(d):
-    """One entering word per state: shortest, ties broken co-lexicographically.
-
-    Any entering word represents its state for the order test, so the tie
-    break only pins the output deterministically.  Words are settled when
-    popped, not when pushed: a later predecessor at the same distance may
-    enter through a smaller symbol.
-    """
-    key = d.alphabet.colex_key
-    syms = d.alphabet.symbols
-    best = {}
-    heap = [(0, (), d.initial)]
-    while heap and len(best) < d.n:
-        _, kw, q = heapq.heappop(heap)
-        if q in best:
-            continue
-        w = tuple(syms[i] for i in reversed(kw))
-        best[q] = w
-        for sym in syms:
-            for t in d.out_map.get((q, sym), ()):
-                if t not in best:
-                    heapq.heappush(heap, (len(w) + 1, key(w + (sym,)), t))
-    return best
-
-
 def dfa_wheeler_order(d):
     """Wheeler order of a trimmed DFA, or the violation refuting every order.
 
@@ -208,11 +183,11 @@ def dfa_wheeler_order(d):
     lam = input_consistency(d)
     if isinstance(lam, WheelerViolation):
         return lam
-    entering = shortest_entering_words(d)
-    if len(entering) != d.n:
+    entering, _ = shortest_entering_words(d, per_state=1)
+    if not all(entering.values()):
         raise WheelerkitError("dfa_wheeler_order wants a trimmed automaton")
     key = d.alphabet.colex_key
-    order = WheelerOrder.from_sequence(sorted(range(d.n), key=lambda q: key(entering[q])))
+    order = WheelerOrder.from_sequence(sorted(range(d.n), key=lambda q: key(entering[q][0])))
     violation = verify_wheeler(d, order)
     return violation if violation is not None else order
 
@@ -224,52 +199,41 @@ class _OrderSearch:
     alphabet, so condition (i) holds structurally; the search decides the
     relative order of same-block pairs.  Orienting u1 < u2 forces v1 < v2 for
     every pair of equally labeled edges with targets v1 != v2, and order
-    relations are kept transitively closed inside each block.
+    relations are kept transitively closed inside each block.  Implications
+    are generated from the out-edges on demand and decisions live on an
+    explicit stack, so memory is O(states + edges + oriented pairs).
     """
 
     def __init__(self, a, blocks, budget):
-        self.a = a
+        self.blocks = blocks
         self.budget = budget
         self.nodes = 0
-        self.block_of = {}
+        self.block_of = [0] * a.n
         for bi, states in enumerate(blocks):
             for q in states:
                 self.block_of[q] = bi
-        self.rel = {}  # (p, q) with p < q by id -> +1 (p first) / -1 (q first)
-        self.pairs = []
-        for states in blocks:
-            for i in range(len(states)):
-                for j in range(i + 1, len(states)):
-                    self.pairs.append(tuple(sorted((states[i], states[j]))))
-        self.peers = {}  # state -> same-block peers
-        for states in blocks:
-            for q in states:
-                self.peers[q] = [p for p in states if p != q]
-        # forced[(p, q)] = target pairs (v, w) that p-before-q pushes into v-before-w
-        self.forced = {}
-        out = a.out_map
-        syms = sorted(set(e[1] for e in a.edges))
-        for p in range(a.n):
-            for q in range(a.n):
-                if p == q:
-                    continue
-                fw = []
-                for sym in syms:
-                    for v in sorted(out.get((p, sym), ())):
-                        for w in sorted(out.get((q, sym), ())):
-                            if v != w:
-                                fw.append((v, w))
-                self.forced[(p, q)] = fw
-        self.trail = []
+        self.out = [{} for _ in range(a.n)]  # state -> symbol -> sorted targets
+        for (u, sym, v) in sorted(a.edges):
+            self.out[u].setdefault(sym, []).append(v)
+        self.below = [set() for _ in range(a.n)]  # same-block states known to precede
+        self.above = [set() for _ in range(a.n)]  # same-block states known to follow
+        self.trail = []  # oriented pairs (p before q), oldest first
+
+    def implied(self, p, q):
+        """Target pairs (v, w) that p-before-q pushes into v-before-w."""
+        out_q = self.out[q]
+        for sym, vs in self.out[p].items():
+            for v in vs:
+                for w in out_q.get(sym, ()):
+                    if v != w:
+                        yield v, w
 
     def before(self, p, q):
         """+1 if p is known to precede q, -1 if q precedes p, 0 if open."""
         bp, bq = self.block_of[p], self.block_of[q]
         if bp != bq:
             return 1 if bp < bq else -1
-        a, b = (p, q) if p < q else (q, p)
-        sign = self.rel.get((a, b), 0)
-        return sign if (p, q) == (a, b) else -sign
+        return 1 if p in self.below[q] else -1 if q in self.below[p] else 0
 
     def orient(self, p, q):
         """Record p before q; propagate; False on contradiction."""
@@ -284,35 +248,65 @@ class _OrderSearch:
                 continue
             if cur == -1:
                 return False
-            a, b = (x, y) if x < y else (y, x)
-            self.rel[(a, b)] = 1 if (x, y) == (a, b) else -1
-            self.trail.append((a, b))
-            stack.extend(self.forced[(x, y)])
-            for r in self.peers[x]:
-                if r != y:
-                    if self.before(r, x) == 1:
-                        stack.append((r, y))
-                    if self.before(y, r) == 1:
-                        stack.append((x, r))
+            self.below[y].add(x)
+            self.above[x].add(y)
+            self.trail.append((x, y))
+            stack.extend(self.implied(x, y))
+            # close transitively: r < x gives r < y, and y < r gives x < r;
+            # blocks list states by id, so id order is block order
+            below_x, above_y = self.below[x], self.above[y]
+            for r in sorted(below_x | above_y):
+                if r in below_x:
+                    stack.append((r, y))
+                if r in above_y:
+                    stack.append((x, r))
         return True
 
+    def undo(self, mark):
+        while len(self.trail) > mark:
+            p, q = self.trail.pop()
+            self.below[q].discard(p)
+            self.above[p].discard(q)
+
+    def next_open(self, bi, i, j):
+        """Position (bi, i, j) of the first unoriented pair blocks[bi][i] <
+        blocks[bi][j] at or after the given position, or None."""
+        for bi in range(bi, len(self.blocks)):
+            states = self.blocks[bi]
+            for i in range(i, len(states)):
+                above, below = self.above[states[i]], self.below[states[i]]
+                for j in range(max(j, i + 1), len(states)):
+                    if states[j] not in above and states[j] not in below:
+                        return bi, i, j
+                j = 0
+            i = 0
+        return None
+
     def solve(self):
-        mark = len(self.trail)
-        pair = next((pq for pq in self.pairs if self.rel.get(pq, 0) == 0), None)
-        if pair is None:
-            return True
-        for first, second in ((pair[0], pair[1]), (pair[1], pair[0])):
-            if self.orient(first, second) and self.solve():
-                return True
-            while len(self.trail) > mark:
-                del self.rel[self.trail.pop()]
-        return False
+        """Depth first: orient the first open pair one way, then the other.
+        Pairs before a decision stay oriented below it, so scans resume there."""
+        decisions = []  # (trail mark, pair position, second way taken)
+        pos, flipped = self.next_open(0, 0, 1), False
+        while pos is not None:
+            bi, i, j = pos
+            p, q = self.blocks[bi][i], self.blocks[bi][j]
+            mark = len(self.trail)
+            if self.orient(*((q, p) if flipped else (p, q))):
+                decisions.append((mark, pos, flipped))
+                pos, flipped = self.next_open(*pos), False
+                continue
+            self.undo(mark)
+            while flipped:  # both ways failed: back up to a decision with one left
+                if not decisions:
+                    return False
+                mark, pos, flipped = decisions.pop()
+                self.undo(mark)
+            flipped = True
+        return True
 
     def extract_order(self):
-        states = sorted(range(self.a.n),
-                        key=lambda q: (self.block_of[q],
-                                       sum(1 for p in self.peers[q]
-                                           if self.before(p, q) == 1)))
+        states = sorted(range(len(self.block_of)),
+                        key=lambda q: (self.block_of[q], len(self.below[q])))
         return WheelerOrder.from_sequence(states)
 
 
@@ -335,11 +329,13 @@ def nfa_wheeler_search(a, budget=10 ** 6):
 
     search = _OrderSearch(a, blocks, budget)
     # seed with the implications of the already-fixed cross-block source pairs
-    for (p, q), targets in sorted(search.forced.items()):
-        if search.block_of[p] < search.block_of[q]:
-            for (v, w) in targets:
-                if not search.orient(v, w):
-                    return None
+    senders = [p for p in range(a.n) if search.out[p]]
+    for p in senders:
+        for q in senders:
+            if search.block_of[p] < search.block_of[q]:
+                for (v, w) in search.implied(p, q):
+                    if not search.orient(v, w):
+                        return None
     if not search.solve():
         return None
     order = search.extract_order()
@@ -378,10 +374,9 @@ def path_coherence_check(a, order, maxlen):
     for lo in range(a.n):
         for hi in range(lo, a.n):
             start = frozenset(seq[lo:hi + 1])
-            frontier = [(start, ())]
+            frontier = [(start, ())]  # breadth first: the loop reads what it appends
             seen = {start}
-            while frontier:
-                states, w = frontier.pop(0)
+            for states, w in frontier:
                 if len(w) >= maxlen:
                     continue
                 for sym in a.alphabet.symbols:

@@ -1,8 +1,14 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from wheelerkit import Automaton, OrderedAlphabet
+
+# Deterministic property runs with no per-example deadline: slow shared
+# machines must not turn a timing hiccup into a failure.
+settings.register_profile("wheelerkit", deadline=None, derandomize=True)
+settings.load_profile("wheelerkit")
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

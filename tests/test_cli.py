@@ -1,5 +1,10 @@
 import contextlib
 import io
+import pathlib
+import tempfile
+import time
+
+from hypothesis import example, given, settings, strategies as st
 
 from wheelerkit import parse_automaton, language_equal
 from wheelerkit.cli import main
@@ -153,3 +158,98 @@ def test_structured_block_is_deterministic(fixtures_dir):
     a = run_cli("check-lang", str(fixtures_dir / "mind4_nonwheeler.aut"))
     b = run_cli("check-lang", str(fixtures_dir / "mind4_nonwheeler.aut"))
     assert a[3].partition("---")[2] == b[3].partition("---")[2]
+
+
+def _aut(tmp_path, text):
+    path = tmp_path / "in.aut"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _star(leaves):
+    return (f"alphabet a\nstates {leaves + 1}\ninitial 0\n"
+            f"final {' '.join(str(v) for v in range(1, leaves + 1))}\n"
+            + "".join(f"edge 0 a {v}\n" for v in range(1, leaves + 1)))
+
+
+def test_non_ascii_digits_are_input_errors(fixtures_dir, tmp_path):
+    # '²' passes str.isdigit() but not int()
+    bad = _aut(tmp_path, "alphabet a\nstates ²\ninitial 0\nfinal 0\n")
+    assert run_cli("check-nfa", bad)[0] == 3
+    bad = _aut(tmp_path, "alphabet a\nstates 2\ninitial 0\nfinal ¹\n")
+    assert run_cli("check-nfa", bad)[0] == 3
+    assert run_cli("check-lang", str(fixtures_dir / "mind4_wheeler.aut"),
+                   "--caps", "gamma=²")[0] == 3
+
+
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path):
+    path = _aut(tmp_path, 'alphabet a"b c\\d\nstates 3\ninitial 0\nfinal 1 2\n'
+                          'edge 0 a"b 1\nedge 0 c\\d 2\n')
+    code, _, _, raw = run_cli("export-dot", path)
+    assert code == 0
+    assert '0 -> 1 [label="a\\"b"];' in raw
+    assert '0 -> 2 [label="c\\\\d"];' in raw
+
+
+def test_writes_under_a_missing_directory_are_input_errors(fixtures_dir, tmp_path):
+    out = str(tmp_path / "missing" / "out.aut")
+    wheeler_dfa = str(fixtures_dir / "mind4_wheeler.aut")
+    assert run_cli("check-lang", wheeler_dfa, "-o", out)[0] == 3
+    assert run_cli("min-wdfa", wheeler_dfa, "-o", out)[0] == 3
+    assert run_cli("reduce", "universality", wheeler_dfa, "-o", out)[0] == 3
+    assert run_cli("export-dot", wheeler_dfa, "-o", out)[0] == 3
+
+
+def test_check_nfa_decides_a_sixty_state_star(tmp_path):
+    code, _, block, _ = run_cli("check-nfa", _aut(tmp_path, _star(59)))
+    assert code == 0 and block["verdict"] == "wheeler"
+    assert [block[f"order.{i}"] for i in range(60)] == [str(i) for i in range(60)]
+
+
+def test_check_nfa_budget_bounds_a_two_thousand_leaf_star(tmp_path):
+    path = _aut(tmp_path, _star(2000))
+    started = time.perf_counter()
+    code, _, _, _ = run_cli("check-nfa", path, "--budget", "10000")
+    assert code == 2
+    assert time.perf_counter() - started < 10
+
+
+_TOKENS = ["alphabet", "states", "initial", "final", "edge", "#", "0", "1", "2", "3",
+           "²", "-1", "a", "b", "a\"b", "x\\y", "99"]
+_line = st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=5).map(" ".join)
+_token_text = st.lists(_line, max_size=8).map("\n".join)
+
+
+@st.composite
+def _small_automata(draw):
+    n = draw(st.integers(1, 4))
+    syms = ("a", "b")[:draw(st.integers(1, 2))]
+    states = st.integers(0, n - 1)
+    edges = draw(st.sets(st.tuples(states, st.sampled_from(syms), states), max_size=7))
+    finals = draw(st.sets(states, max_size=n))
+    return (f"alphabet {' '.join(syms)}\nstates {n}\ninitial 0\n"
+            f"final {' '.join(map(str, sorted(finals)))}\n"
+            + "".join(f"edge {u} {s} {v}\n" for (u, s, v) in sorted(edges)))
+
+
+_COMMANDS = [["check-dfa"], ["check-nfa"], ["export-dot"], ["export-dot", "--wheeler"],
+             ["check-lang", "--method", "witness"],
+             ["check-lang", "--nfa", "--method", "witness"],
+             ["check-lang", "--nfa", "--method", "witness", "--caps", "gamma=²"],
+             ["check-lang", "--nfa", "--method", "witness", "--caps", "gamma=3,paths=50"]]
+
+
+@settings(max_examples=150)
+@given(text=st.one_of(st.text(max_size=60), _token_text, _small_automata()),
+       command=st.sampled_from(_COMMANDS))
+@example(text="alphabet a\nstates ²\ninitial 0\nfinal 0\n", command=["check-nfa"])
+@example(text="alphabet a\nstates 1\ninitial 0\nfinal 0\n",
+         command=["check-lang", "--nfa", "--method", "witness", "--caps", "gamma=²"])
+def test_cli_exit_codes_fuzz(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "fuzz.aut"
+        path.write_text(text, encoding="utf-8")
+        code, _, _, raw = run_cli(command[0], str(path), *command[1:])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert any(line.startswith("verdict: not-") for line in raw.splitlines())
