@@ -127,7 +127,6 @@ def shortest_entering_words(a, per_state=None, max_len=None, budget=None):
     settled when popped, not when pushed: a later predecessor at the same
     distance may enter through a smaller symbol.
     """
-    key = a.alphabet.colex_key
     syms = a.alphabet.symbols
     words = {q: [] for q in range(a.n)}
     heap = [(0, (), a.initial)]
@@ -143,10 +142,11 @@ def shortest_entering_words(a, per_state=None, max_len=None, budget=None):
         words[q].append(w)
         if max_len is not None and len(w) >= max_len:
             continue
-        for sym in syms:
+        for i, sym in enumerate(syms):
             for t in a.out_map.get((q, sym), ()):
                 if per_state is None or len(words[t]) < per_state:
-                    heapq.heappush(heap, (len(w) + 1, key(w + (sym,)), t))
+                    # (i,) + kw is the co-lex key of w + (sym,)
+                    heapq.heappush(heap, (len(w) + 1, (i,) + kw, t))
     return {q: tuple(ws) for q, ws in words.items()}, False
 
 

@@ -1,9 +1,10 @@
 """Command line entry point.
 
 Exit codes: 0 positive verdict / success, 1 negative verdict, 2 infeasible
-or budget exceeded, 3 input error.  Machine-readable output is a block of
-`key: value` lines after a `---` separator; everything before the separator
-(including timings) is free-form human text.
+or budget exceeded, 3 input error, 4 internal error (an unexpected exception,
+a bug, reported on stderr without a traceback).  Machine-readable output is a
+block of `key: value` lines after a `---` separator; everything before the
+separator (including timings) is free-form human text.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
 EXIT_INFEASIBLE = 2
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL = 4
 
 
 class _CliError(Exception):
@@ -344,6 +346,9 @@ def main(argv=None):
     except WheelerkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # never exit 1, which means "not Wheeler"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

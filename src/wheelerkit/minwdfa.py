@@ -2,19 +2,30 @@
 
 The states of the minimum WDFA are the classes of the convex, end-symbol
 refinement of the Myhill-Nerode equivalence.  Every class has a member
-shorter than n + n^2, so enumerating the readable words up to that depth,
-sorting them co-lexicographically and scanning for run boundaries yields one
+shorter than n + n^2, so the co-lex sorted list of readable words up to that
+depth, cut into runs of one class and one last symbol, yields one
 representative per class; transitions follow from where representative-plus-
 symbol lands among the representatives.
+
+The builder never lists those words.  Co-lex order is the pre-order of the
+trie of reversed readable words, children taken in symbol rank, and a node
+for a suffix x only needs the partial map T: q -> delta(q, x) to know its
+children (the in-edges of dom(T)) and whether x itself is readable (the
+initial state is in dom(T)).  The runs of a subtree depend only on T and the
+remaining depth, so `colex_class_runs` folds them bottom-up once per distinct
+(T, remaining depth), with an explicit stack, and materializes only the
+representatives.  `enumerate_prefixes` and `compute_fingerprint` keep the
+list-and-scan definition as the reference the fold is tested against.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import islice
 
 from .alphabet import INITIAL_MARK
-from .automaton import Automaton, dfa_walk, language_equal, count_readable_words
+from .automaton import Automaton, language_equal, count_readable_words
 from .errors import (
     ConstructionInconsistent,
     InfeasibleEnumeration,
@@ -62,14 +73,7 @@ class Wdfa:
     certified: bool
 
 
-def enumerate_prefixes(min_dfa, depth, word_cap=DEFAULT_WORD_CAP):
-    """Readable words of the minimum DFA up to `depth`, co-lex sorted.
-
-    Walks only the paths of the automaton (readable words are exactly the
-    prefixes of the language on a trimmed machine).  Raises
-    InfeasibleEnumeration, without materializing anything, when a path count
-    shows more than `word_cap` words.
-    """
+def _check_enumerable(min_dfa, depth, word_cap):
     if not min_dfa.deterministic:
         raise NotDeterministic("prefix enumeration wants a DFA")
     if depth < 0:
@@ -79,6 +83,16 @@ def enumerate_prefixes(min_dfa, depth, word_cap=DEFAULT_WORD_CAP):
         raise InfeasibleEnumeration(
             f"{total} readable words up to depth {depth} exceed the cap {word_cap}")
 
+
+def enumerate_prefixes(min_dfa, depth, word_cap=DEFAULT_WORD_CAP):
+    """Readable words of the minimum DFA up to `depth`, co-lex sorted.
+
+    Walks only the paths of the automaton (readable words are exactly the
+    prefixes of the language on a trimmed machine).  Raises
+    InfeasibleEnumeration, without materializing anything, when a path count
+    shows more than `word_cap` words.
+    """
+    _check_enumerable(min_dfa, depth, word_cap)
     items = [((), min_dfa.initial)]
     frontier = [((), min_dfa.initial)]
     for _ in range(depth):
@@ -125,6 +139,114 @@ def compute_fingerprint(min_dfa, prefixes):
     return Fingerprint(tuple(reps))
 
 
+def colex_class_runs(min_dfa, depth, word_cap=DEFAULT_WORD_CAP):
+    """compute_fingerprint(min_dfa, enumerate_prefixes(min_dfa, depth)),
+    folded over the trie of reversed readable words without listing them.
+
+    Returns three tuples: the representatives, co-lex increasing, the state
+    of the minimum DFA each one reaches, and their co-lex keys.  Raises what
+    enumerate_prefixes raises, including InfeasibleEnumeration past
+    `word_cap` words.
+
+    A trie node is a pair (T, remaining depth); its runs are triples
+    (class, length, link) with the length and the word relative to the node.
+    A link is None for the empty word or (inner link, rank), the word of the
+    inner link followed by that symbol.
+    """
+    _check_enumerable(min_dfa, depth, word_cap)
+    n, init = min_dfa.n, min_dfa.initial
+    syms = min_dfa.alphabet.symbols
+    pos = min_dfa.alphabet.position
+    into = [[] for _ in range(n)]  # q -> (rank of c, p) per edge p -c-> q
+    succ = [[] for _ in range(n)]
+    for (p, c, q) in min_dfa.edges:
+        into[q].append((pos[c], p))
+        succ[p].append(q)
+    far = n + depth  # beyond every distance and every remaining depth
+    dist = [far] * n  # length of the shortest word reaching q
+    dist[init] = 0
+    queue = [init]
+    for q in queue:  # breadth first: the loop reads what it appends
+        for t in succ[q]:
+            if dist[t] == far:
+                dist[t] = dist[q] + 1
+                queue.append(t)
+
+    ids = {}  # T as sorted (q, delta(q, x)) pairs -> id
+    maps, emits, kids = [], [], []
+
+    def intern(pairs):
+        tid = ids.get(pairs)
+        if tid is None:
+            tid = ids[pairs] = len(maps)
+            maps.append(pairs)
+            emits.append(next((t for p, t in pairs if p == init), None))
+            kids.append(None)
+        return tid
+
+    def children(tid):
+        """(rank, child id, distance of the child's nearest state), by rank."""
+        if kids[tid] is None:
+            groups = {}
+            for q, t in maps[tid]:
+                for rank, p in into[q]:
+                    groups.setdefault(rank, []).append((p, t))
+            kids[tid] = [(rank, intern(tuple(sorted(groups[rank]))),
+                          min(dist[p] for p, _ in groups[rank]))
+                         for rank in sorted(groups)]
+        return kids[tid]
+
+    memo = {}  # (id, remaining depth) -> runs of that subtree
+    opened = {}  # node -> its kept children, while they are being folded
+    root = intern(tuple((q, q) for q in range(n)))
+    top = [(rank, (cid, depth - 1)) for rank, cid, near in children(root) if near < depth]
+    stack = [node for _, node in top]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        kept = opened.pop(node, None)
+        if kept is None:
+            tid, r = node
+            kept = [(rank, (cid, r - 1)) for rank, cid, near in children(tid) if near < r]
+            pending = [child for _, child in kept if child not in memo]
+            if pending:
+                opened[node] = kept
+                stack.extend(pending)
+                continue
+        stack.pop()
+        memo[node] = _concat_runs(emits[node[0]], kept, memo)
+
+    reps, states, keys = [()], [init], [()]
+    for rank, node in top:  # no merging here: the last symbol changes
+        for cls, _, link in memo[node]:
+            key = [rank]
+            while link is not None:
+                link, r = link
+                key.append(r)
+            reps.append(tuple(syms[r] for r in reversed(key)))
+            states.append(cls)
+            keys.append(tuple(key))
+    return tuple(reps), tuple(states), tuple(keys)
+
+
+def _concat_runs(emitted, kept, memo):
+    """Runs of a node: its own word, then each kept child's runs in rank
+    order; adjacent runs of one class merge and a strictly shorter word wins."""
+    runs = [] if emitted is None else [(emitted, 0, None)]
+    for rank, child in kept:
+        child_runs = memo[child]
+        cls, length, link = child_runs[0]
+        if runs and runs[-1][0] == cls:
+            if length + 1 < runs[-1][1]:
+                runs[-1] = (cls, length + 1, (link, rank))
+        else:
+            runs.append((cls, length + 1, (link, rank)))
+        runs.extend((c, k + 1, (w, rank)) for c, k, w in islice(child_runs, 1, None))
+    return runs
+
+
 def build_min_wdfa(min_dfa, depth=None, word_cap=DEFAULT_WORD_CAP):
     """Assemble the minimum WDFA for the language of a minimum DFA.
 
@@ -136,13 +258,9 @@ def build_min_wdfa(min_dfa, depth=None, word_cap=DEFAULT_WORD_CAP):
     n = min_dfa.n
     d = certifying_depth(n) if depth is None else depth
     certifying = d >= certifying_depth(n)
-    prefixes = enumerate_prefixes(min_dfa, d, word_cap)
-    fp = compute_fingerprint(min_dfa, prefixes)
-    reps = fp.representatives
+    reps, rep_state, keys = colex_class_runs(min_dfa, d, word_cap)
     m = len(reps)
-    key = min_dfa.alphabet.colex_key
-    keys = [key(r) for r in reps]
-    rep_state = [dfa_walk(min_dfa, r) for r in reps]
+    rank = min_dfa.alphabet.position
 
     finals = frozenset(j for j in range(m) if rep_state[j] in min_dfa.finals)
     edges = set()
@@ -151,8 +269,8 @@ def build_min_wdfa(min_dfa, depth=None, word_cap=DEFAULT_WORD_CAP):
             probe_state = min_dfa.dstep(rep_state[j], c)
             if probe_state is None:
                 continue  # rep . c is not readable: no c-edge out of this state
-            probe = rep + (c,)
-            pk = key(probe)
+            last_c = (rank[c],)  # key prefix of the words ending in c
+            pk = last_c + keys[j]
             pos = bisect.bisect_left(keys, pk)
             if pos < m and keys[pos] == pk:
                 target = pos
@@ -173,13 +291,12 @@ def build_min_wdfa(min_dfa, depth=None, word_cap=DEFAULT_WORD_CAP):
                         "probe falls between two representatives of other classes",
                         word=rep, symbol=c)
                 else:
-                    last_s = reps[s][-1] if reps[s] else INITIAL_MARK
-                    last_s1 = reps[s1][-1] if reps[s1] else INITIAL_MARK
-                    if (last_s == c) == (last_s1 == c):
+                    ends_s = keys[s][:1] == last_c
+                    if ends_s == (keys[s1][:1] == last_c):
                         raise ConstructionInconsistent(
                             "end-symbol tie between enclosing representatives",
                             word=rep, symbol=c)
-                    target = s if last_s == c else s1
+                    target = s if ends_s else s1
             edges.add((j, c, target))
 
     automaton = Automaton(min_dfa.alphabet, m, 0, finals, frozenset(edges))

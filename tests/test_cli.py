@@ -6,7 +6,7 @@ import time
 
 from hypothesis import example, given, settings, strategies as st
 
-from wheelerkit import parse_automaton, language_equal
+from wheelerkit import cli, parse_automaton, language_equal
 from wheelerkit.cli import main
 
 
@@ -212,6 +212,19 @@ def test_check_nfa_budget_bounds_a_two_thousand_leaf_star(tmp_path):
     code, _, _, _ = run_cli("check-nfa", path, "--budget", "10000")
     assert code == 2
     assert time.perf_counter() - started < 10
+
+
+def test_unexpected_exception_exits_internal_without_traceback(fixtures_dir, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_check_dfa", broken)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check-dfa", str(fixtures_dir / "wdfa6.aut")])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert err.getvalue() == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 _TOKENS = ["alphabet", "states", "initial", "final", "edge", "#", "0", "1", "2", "3",

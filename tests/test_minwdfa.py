@@ -1,3 +1,4 @@
+import bisect
 import functools
 import itertools
 import random
@@ -12,17 +13,38 @@ from wheelerkit import (
     OrderedAlphabet,
     build_min_wdfa,
     colex_compare,
+    determinize,
+    dfa_walk,
     dfa_wheeler_order,
     language_equal,
     minimize,
+    parse_automaton,
+    reduce_universality,
     run,
+    trim_basic,
     verify_wheeler,
     word,
 )
+from wheelerkit.alphabet import INITIAL_MARK
 from wheelerkit.automaton import relabel_by_order
-from wheelerkit.minwdfa import certifying_depth, compute_fingerprint, enumerate_prefixes
+from wheelerkit.minwdfa import (
+    Wdfa,
+    certifying_depth,
+    colex_class_runs,
+    compute_fingerprint,
+    enumerate_prefixes,
+)
+from wheelerkit.wheeler import WheelerOrder
 from conftest import make
-from corpus import all_words, random_feasible_dfa
+from corpus import all_words, random_feasible_dfa, random_trimmed_nfa
+from test_acceptance import (
+    CORPUS_SEED,
+    CORPUS_WORD_CAP,
+    brute_universal_to_6,
+    corpus_200,
+    cycle_dfa,
+    exact_universal,
+)
 
 
 def brute_prefixes(a, depth):
@@ -209,3 +231,124 @@ def test_minimality_no_smaller_wheeler_dfa_for_ac_star():
 def _order(perm):
     from wheelerkit.wheeler import WheelerOrder
     return WheelerOrder(tuple(perm))
+
+
+@functools.lru_cache(maxsize=16)
+def oracle_runs(m, depth, word_cap):
+    """Oracle for colex_class_runs: enumerate, sort and scan, then walk and
+    key each representative."""
+    reps = compute_fingerprint(m, enumerate_prefixes(m, depth, word_cap)).representatives
+    return (reps, tuple(dfa_walk(m, r) for r in reps),
+            tuple(m.alphabet.colex_key(r) for r in reps))
+
+
+def oracle_build(m, depth, word_cap):
+    """Oracle for build_min_wdfa: the transition probes on the oracle's
+    representatives, with words and colex_key in place of the fold's keys."""
+    reps, rep_state, keys = oracle_runs(m, depth, word_cap)
+    key = m.alphabet.colex_key
+    size = len(reps)
+    edges = set()
+    for j, rep in enumerate(reps):
+        for c in m.alphabet.symbols:
+            probe_state = dfa_walk(m, (c,), start=rep_state[j])
+            if probe_state is None:
+                continue
+            pk = key(rep + (c,))
+            pos = bisect.bisect_left(keys, pk)
+            if pos < size and keys[pos] == pk:
+                target = pos
+            elif pos in (0, size):
+                target = min(pos, size - 1)
+            else:
+                s, s1 = pos - 1, pos
+                eq_s, eq_s1 = rep_state[s] == probe_state, rep_state[s1] == probe_state
+                if not eq_s and not eq_s1:
+                    raise ConstructionInconsistent(
+                        "probe falls between two representatives of other classes",
+                        word=rep, symbol=c)
+                if eq_s and eq_s1:
+                    last_s = reps[s][-1] if reps[s] else INITIAL_MARK
+                    last_s1 = reps[s1][-1] if reps[s1] else INITIAL_MARK
+                    if (last_s == c) == (last_s1 == c):
+                        raise ConstructionInconsistent(
+                            "end-symbol tie between enclosing representatives",
+                            word=rep, symbol=c)
+                    eq_s = last_s == c
+                target = s if eq_s else s1
+            edges.add((j, c, target))
+    finals = frozenset(j for j in range(size) if rep_state[j] in m.finals)
+    automaton = Automaton(m.alphabet, size, 0, finals, frozenset(edges))
+    order = WheelerOrder(tuple(range(size)))
+    certifying = depth >= certifying_depth(m.n)
+    if certifying:
+        violation = verify_wheeler(automaton, order)
+        if violation is not None:
+            raise ConstructionInconsistent(f"built automaton is not Wheeler: {violation}")
+        if not language_equal(automaton, m):
+            raise ConstructionInconsistent("built automaton changes the language")
+    return Wdfa(automaton, order, reps, certifying)
+
+
+def outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except WheelerkitError as exc:
+        return type(exc), str(exc)
+
+
+def assert_fold_matches_oracle(m, word_cap):
+    full = certifying_depth(m.n)
+    for depth in sorted({0, 1, 2, min(5, full), full}):
+        assert (outcome(colex_class_runs, m, depth, word_cap)
+                == outcome(oracle_runs, m, depth, word_cap)), (m, depth)
+        assert (outcome(build_min_wdfa, m, depth, word_cap)
+                == outcome(oracle_build, m, depth, word_cap)), (m, depth)
+
+
+def test_fold_matches_the_oracle_on_the_fixtures(fixtures_dir):
+    for path in sorted(fixtures_dir.glob("*.aut")):
+        a = trim_basic(parse_automaton(path.read_text()))
+        assert_fold_matches_oracle(minimize(determinize(a)), CORPUS_WORD_CAP)
+
+
+def test_fold_matches_the_oracle_on_random_dfas():
+    for d in corpus_200():  # the random_feasible_dfa draws of the acceptance corpus
+        assert_fold_matches_oracle(minimize(d), CORPUS_WORD_CAP)
+
+
+def test_fold_matches_the_oracle_on_cycle_dfas():
+    for j in (8, 12, 17, 24, 34, 48):
+        assert_fold_matches_oracle(minimize(cycle_dfa(j)), CORPUS_WORD_CAP)
+
+
+def test_fold_matches_the_oracle_on_the_universality_gadgets(universal1, epsilon_d):
+    # the NFAs of acceptance criterion 9, drawn the same way
+    samples = [universal1, epsilon_d]
+    rng = random.Random(CORPUS_SEED + 9)
+    while len(samples) < 42:
+        a = random_trimmed_nfa(rng, max_n=3, max_sigma=2, density=0.35, force_eps=True)
+        if len(a.alphabet) <= 2 and brute_universal_to_6(a) == exact_universal(a):
+            samples.append(a)
+    gadgets = []
+    for a in samples:
+        m = minimize(determinize(reduce_universality(a).automaton))
+        if m not in gadgets:
+            gadgets.append(m)
+    for m in gadgets:
+        assert_fold_matches_oracle(m, CORPUS_WORD_CAP)
+
+
+def test_deep_fold_needs_no_recursion():
+    m = minimize(cycle_dfa(40))
+    assert certifying_depth(m.n) == 1640
+    wdfa = build_min_wdfa(m)
+    assert wdfa.certified and wdfa.automaton.n == len(wdfa.representatives)
+
+
+def test_build_min_wdfa_word_cap_message(mind4_wheeler):
+    m = minimize(mind4_wheeler)
+    with pytest.raises(InfeasibleEnumeration) as info:
+        build_min_wdfa(m, word_cap=59)
+    assert str(info.value) == "60 readable words up to depth 20 exceed the cap 59"
+    assert build_min_wdfa(m, word_cap=60).automaton.n == 6
