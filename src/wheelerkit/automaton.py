@@ -7,7 +7,6 @@ Every operation is a pure function returning fresh values.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,35 +117,39 @@ def dfa_walk(d, w, start=None):
     return q
 
 
-def shortest_entering_words(a, per_state=None, max_len=None, budget=None):
-    """Words entering each state, by (length, co-lex), best first.
+def shortest_entering_words(d, per_state=None, max_len=None, budget=None):
+    """Words entering each state of a DFA, by (length, co-lex), best first.
 
     Keeps the first `per_state` words of each state (all when None), extends
-    no word past `max_len`, and stops after `budget` heap pops.  Returns the
-    words per state and whether the budget cut the walk short.  Words are
-    settled when popped, not when pushed: a later predecessor at the same
-    distance may enter through a smaller symbol.
+    no word past `max_len`, and stops after `budget` words are taken off the
+    frontier.  Returns the words per state and whether the budget cut the
+    walk short.  The walk goes one length at a time: in a DFA each word
+    reaches one state, and the co-lex key of w + (s,) is the rank of s
+    followed by the key of w, so the next layer in co-lex order is, per
+    symbol in rank order, the extensions of the current layer in its order.
+    A word is settled when taken, not when its parent extends it: a later
+    word of the parent's layer may take the last place of its state first.
     """
-    syms = a.alphabet.symbols
-    words = {q: [] for q in range(a.n)}
-    heap = [(0, (), a.initial)]
+    syms = d.alphabet.symbols
+    words = {q: [] for q in range(d.n)}
+    layer = [((), d.initial)]
     pops = 0
-    while heap:
-        pops += 1
-        if budget is not None and pops > budget:
-            return {q: tuple(ws) for q, ws in words.items()}, True
-        _, kw, q = heapq.heappop(heap)
-        if per_state is not None and len(words[q]) >= per_state:
-            continue
-        w = tuple(syms[i] for i in reversed(kw))
-        words[q].append(w)
-        if max_len is not None and len(w) >= max_len:
-            continue
-        for i, sym in enumerate(syms):
-            for t in a.out_map.get((q, sym), ()):
-                if per_state is None or len(words[t]) < per_state:
-                    # (i,) + kw is the co-lex key of w + (sym,)
-                    heapq.heappush(heap, (len(w) + 1, (i,) + kw, t))
+    while layer:
+        children = [[] for _ in syms]
+        for w, q in layer:
+            pops += 1
+            if budget is not None and pops > budget:
+                return {q: tuple(ws) for q, ws in words.items()}, True
+            if per_state is not None and len(words[q]) >= per_state:
+                continue
+            words[q].append(w)
+            if max_len is not None and len(w) >= max_len:
+                continue
+            for i, sym in enumerate(syms):
+                for t in d.out_map.get((q, sym), ()):
+                    if per_state is None or len(words[t]) < per_state:
+                        children[i].append((w + (sym,), t))
+        layer = [child for group in children for child in group]
     return {q: tuple(ws) for q, ws in words.items()}, False
 
 

@@ -312,7 +312,8 @@ def build_parser():
     group.add_argument("--language", action="store_true")
     p.set_defaults(func=cmd_check_gw)
 
-    p = sub.add_parser("solve-betweenness", help="brute-force a betweenness instance")
+    p = sub.add_parser("solve-betweenness",
+                       help="first order satisfying a betweenness instance")
     p.add_argument("file")
     p.set_defaults(func=cmd_solve_betweenness)
 

@@ -3,16 +3,23 @@ solver used to cross-validate the order-hardness gadget.
 
 An automaton is generalized Wheeler (GW) when some reordering of its alphabet
 makes it Wheeler; a language is GW when some order makes the language
-Wheeler.  Both checks brute-force the sigma! orders, lexicographically over
-permutations of the listed alphabet, and report the first that works.
+Wheeler.  Both checks and the betweenness solver run one depth-first search
+over order prefixes (`_first_order`), lexicographic in the listed order, and
+report the first order that works.  The search drops a prefix, with all of
+its completions, once it satisfies a conflict: a pair of "s before t"
+literals that refutes every order satisfying both.  The language check and
+the solver derive their conflicts from the input before searching (a
+screened witness, a violated triple); the DFA check learns one from each
+order it rejects (a condition-(ii) inversion).  So the per-order test runs
+only on orders no known conflict refutes, and the first one it accepts is
+the first accepted permutation.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .automaton import minimize, shortest_entering_words, with_alphabet_order
+from .automaton import dfa_walk, minimize, shortest_entering_words, with_alphabet_order
 from .errors import (
     AlphabetTooLarge,
     FormatError,
@@ -31,6 +38,7 @@ from .language import (
 )
 from .minwdfa import DEFAULT_WORD_CAP
 from .wheeler import (
+    CONDITION_II,
     WheelerOrder,
     WheelerViolation,
     input_consistency,
@@ -41,11 +49,104 @@ from .wheeler import (
 DEFAULT_MAX_SIGMA = 8
 
 
-def _order_permutations(alphabet, max_sigma):
+def _check_sigma(alphabet, max_sigma):
     if len(alphabet) > max_sigma:
         raise AlphabetTooLarge(
             f"{len(alphabet)}! orders exceed the budget (sigma <= {max_sigma})")
-    return itertools.permutations(alphabet.symbols)
+
+
+def _first_order(symbols, conflicts, accept):
+    """First permutation of `symbols` that satisfies no conflict in full and
+    that `accept` takes, or None.
+
+    A literal (s, t) reads "s before t"; a conflict is a tuple of one or two
+    literals whose conjunction refutes every order (the empty conflict
+    refutes all).  `conflicts` is a list, and `accept` may append to it the
+    conflicts an order it rejects satisfies; they prune the rest of the
+    search.  The search extends prefixes by the next unplaced symbol in
+    listed order, so leaves come in lexicographic order of listed positions,
+    the order in which the standard library enumerates permutations.  A
+    literal is decided once its first symbol is placed, and holds if its
+    second is not placed yet; a prefix is dropped when placing a symbol
+    completes a conflict.
+    """
+    n = len(symbols)
+    index = {s: i for i, s in enumerate(symbols)}
+    # watch[s]: (t, p, q) per literal (s, t) of a conflict whose other
+    # literal is (p, q); a one-literal conflict is its literal twice
+    watch = [[] for _ in range(n)]
+    pos = [n] * n  # position in the prefix; n while unplaced
+    watched = 0
+
+    def watch_new():
+        """Watch the conflicts appended since the last call; return the
+        shallowest depth at which one of them holds in full on the current
+        prefix (-1 for the empty conflict), or n when none does."""
+        nonlocal watched
+        cut = n
+        for conflict in conflicts[watched:]:
+            if not conflict:
+                return -1
+            lits = [(index[x], index[y]) for x, y in conflict]
+            (s, t), (p, q) = lits if len(lits) == 2 else lits * 2
+            watch[s].append((t, p, q))
+            if (p, q) != (s, t):
+                watch[p].append((q, s, t))
+            if pos[s] < pos[t] and pos[p] < pos[q]:
+                cut = min(cut, max(pos[s], pos[p]))
+        watched = len(conflicts)
+        return cut
+
+    if watch_new() < 0:
+        return None
+    prefix = []
+    resume = []  # per placed symbol: the index to try next at its depth
+    i = 0
+    while True:
+        depth = len(prefix)
+        if depth == n:
+            order = tuple(symbols[j] for j in prefix)
+            if accept(order):
+                return order
+            # every leaf sharing the first cut + 1 symbols holds a new conflict
+            cut = watch_new()
+            while len(prefix) > cut + 1:
+                pos[prefix.pop()] = n
+                resume.pop()
+        else:
+            while i < n:
+                if pos[i] == n:
+                    pos[i] = depth
+                    # placed last, i precedes exactly the unplaced symbols
+                    if not any(pos[t] == n and pos[p] < pos[q] for t, p, q in watch[i]):
+                        break
+                    pos[i] = n
+                i += 1
+            if i < n:
+                prefix.append(i)
+                resume.append(i + 1)
+                i = 0
+                continue
+        if not prefix:
+            return None
+        pos[prefix.pop()] = n
+        i = resume.pop()
+
+
+def _before(x, y):
+    """Literal for "word x sorts co-lex before word y": the first pair of
+    symbols where they differ, read from the end, or a constant when one
+    word is a suffix of the other."""
+    for s, t in zip(reversed(x), reversed(y)):
+        if s != t:
+            return (s, t)
+    return len(x) < len(y)
+
+
+def _conflict(*literals):
+    """Conflict over literals that all hold on some order: the constant
+    (always true) ones drop out."""
+    return tuple(lit for lit in literals if lit is not True)
 
 
 def gw_automaton_check(a, max_sigma=DEFAULT_MAX_SIGMA, budget=10 ** 6):
@@ -53,28 +154,107 @@ def gw_automaton_check(a, max_sigma=DEFAULT_MAX_SIGMA, budget=10 ** 6):
 
     Input consistency does not depend on the order, so an inconsistent
     automaton short-circuits to None.  For DFAs the per-order test reuses one
-    set of entering words (any entering word represents its state).
+    set of entering words (any entering word represents its state).  A
+    rejected DFA order fails condition (ii) on two same-label edges (u, c, x)
+    and (v, c, y) with u before v and y before x; the co-lex comparisons of
+    their entering words that put them so refute every order where they
+    agree, so the search learns them as a conflict.  NFAs get no conflicts.
     """
-    perms = _order_permutations(a.alphabet, max_sigma)
+    _check_sigma(a.alphabet, max_sigma)
     if isinstance(input_consistency(a), WheelerViolation):
         return None
+    symbols = a.alphabet.symbols
     if a.deterministic:
         entering, _ = shortest_entering_words(a, per_state=1)
         if not all(entering.values()):
             raise WheelerkitError("gw check wants a trimmed automaton")
-        for symbols in perms:
-            candidate = with_alphabet_order(a, symbols)
+        word = {q: ws[0] for q, ws in entering.items()}
+        learned = []
+
+        def wheeler_under(order):
+            candidate = with_alphabet_order(a, order)
             key = candidate.alphabet.colex_key
-            order = WheelerOrder.from_sequence(
-                sorted(range(a.n), key=lambda q: key(entering[q][0])))
-            if verify_wheeler(candidate, order) is None:
-                return symbols
-        return None
-    for symbols in perms:
-        result = nfa_wheeler_search(with_alphabet_order(a, symbols), budget=budget)
-        if isinstance(result, WheelerOrder):
-            return symbols
-    return None
+            ranks = WheelerOrder.from_sequence(
+                sorted(range(a.n), key=lambda q: key(word[q])))
+            violation = verify_wheeler(candidate, ranks)
+            if violation is not None and violation.kind == CONDITION_II:
+                (u, _, x), (v, _, y) = violation.evidence
+                learned.append(_conflict(_before(word[u], word[v]),
+                                         _before(word[y], word[x])))
+            return violation is None
+
+        return _first_order(symbols, learned, wheeler_under)
+
+    def nfa_wheeler_under(order):
+        result = nfa_wheeler_search(with_alphabet_order(a, order), budget=budget)
+        return isinstance(result, WheelerOrder)
+
+    return _first_order(symbols, [], nfa_wheeler_under)
+
+
+def _reversed_trie(words):
+    """Trie of the reversed words; a node is [children by symbol, length of
+    the shortest word through it, whether a word ends there].  The words
+    come shortest first, so the word that makes a node is its shortest."""
+    root = [{}, 0, False]
+    for w in words:
+        node = root
+        for sym in reversed(w):
+            child = node[0].get(sym)
+            if child is None:
+                child = node[0][sym] = [{}, len(w), False]
+            node = child
+        node[2] = True
+    return root
+
+
+def _screen_literals(trie, gamma):
+    """Literals for "w < gamma" and for "gamma < w" over the words w of the
+    trie that the witness screen may pick: |w| <= |gamma| and gamma not a
+    suffix of w.  One walk down the reversed gamma: a word leaves the path
+    where it first differs from gamma, or ends on it as a proper suffix of
+    gamma, which sorts before gamma under every order."""
+    less, greater = set(), set()
+    node = trie
+    for i in range(1, len(gamma) + 1):
+        if node[2]:
+            less.add(True)
+        g = gamma[-i]
+        for sym, child in node[0].items():
+            if sym != g and child[1] <= len(gamma):
+                less.add((sym, g))
+                greater.add((g, sym))
+        node = node[0].get(g)
+        if node is None:
+            break
+    return less, greater
+
+
+def _screen_conflicts(min_dfa, screen):
+    """Orders on which `search_witness(screen)` finds a witness: for a gamma
+    cycling at both states of an anchor pair (u, v), eligible entering words
+    of u and of v on the same side of gamma."""
+    tries = {}
+    sides = {}
+
+    def literals(gamma, q):
+        if (gamma, q) not in sides:
+            if q not in tries:
+                tries[q] = _reversed_trie(screen.entering[q])
+            sides[gamma, q] = _screen_literals(tries[q], gamma)
+        return sides[gamma, q]
+
+    conflicts = set()
+    for gamma, pairs in screen.gammas.items():
+        for (u, v) in pairs:
+            if (dfa_walk(min_dfa, gamma, start=u) != u
+                    or dfa_walk(min_dfa, gamma, start=v) != v):
+                continue
+            for lits_u, lits_v in zip(literals(gamma, u), literals(gamma, v)):
+                for lu in lits_u:
+                    for lv in lits_v:
+                        conflicts.add(_conflict(lu, lv))
+    return conflicts
 
 
 def gw_language_check(d, max_sigma=DEFAULT_MAX_SIGMA, word_cap=DEFAULT_WORD_CAP):
@@ -84,11 +264,12 @@ def gw_language_check(d, max_sigma=DEFAULT_MAX_SIGMA, word_cap=DEFAULT_WORD_CAP)
     witness candidates (cycle structure and entering words) are collected once
     from the minimized automaton, because only the co-lex comparisons depend
     on the order; any order with a re-validated witness is refuted without
-    rebuilding anything.
+    rebuilding anything.  The orders the screen refutes are read off the
+    candidates as conflicts, so the search skips them by whole prefixes.
     """
     if not d.deterministic:
         raise WheelerkitError("gw_language_check wants a DFA")
-    perms = _order_permutations(d.alphabet, max_sigma)
+    _check_sigma(d.alphabet, max_sigma)
     min_dfa = minimize(d)
     screen_caps = SearchCaps(
         gamma_bound=min(64, 4 * min_dfa.n + 8),
@@ -97,18 +278,20 @@ def gw_language_check(d, max_sigma=DEFAULT_MAX_SIGMA, word_cap=DEFAULT_WORD_CAP)
         path_count_cap=5_000,
     )
     screen = collect_candidates(min_dfa, screen_caps)
-    for symbols in perms:
-        candidate = with_alphabet_order(min_dfa, symbols)
+
+    def language_wheeler_under(order):
+        candidate = with_alphabet_order(min_dfa, order)
         if search_witness(candidate, screen) is not None:
-            continue
+            return False
         verdict = is_language_wheeler_dfa(candidate, method=METHOD_BOTH,
                                           word_cap=word_cap)
-        if verdict.status == WHEELER:
-            return symbols
         if verdict.status == BOUNDED_WHEELER:
             raise InfeasibleEnumeration(
-                f"cannot certify the order {' '.join(symbols)} either way")
-    return None
+                f"cannot certify the order {' '.join(order)} either way")
+        return verdict.status == WHEELER
+
+    return _first_order(d.alphabet.symbols, list(_screen_conflicts(min_dfa, screen)),
+                        language_wheeler_under)
 
 
 @dataclass(frozen=True)
@@ -174,12 +357,21 @@ def triple_satisfied(position, triple):
 
 
 def solve_betweenness(inst, max_elements=10):
-    """Exhaustive search over permutations, first satisfying order or None."""
+    """First satisfying order, in permutation order, or None.
+
+    A triple (a, b, c) fails exactly when b comes first or last of the
+    three, so each triple gives the conflicts (b<a, b<c) and (a<b, c<b).
+    """
     if len(inst.elements) > max_elements:
         raise TooManyElements(
             f"{len(inst.elements)} elements exceed the budget {max_elements}")
-    for perm in itertools.permutations(inst.elements):
-        position = {y: i for i, y in enumerate(perm)}
-        if all(triple_satisfied(position, t) for t in inst.triples):
-            return perm
-    return None
+    conflicts = []
+    for (a, b, c) in inst.triples:
+        conflicts.append(((b, a), (b, c)))
+        conflicts.append(((a, b), (c, b)))
+
+    def satisfies_all(order):
+        position = {y: i for i, y in enumerate(order)}
+        return all(triple_satisfied(position, t) for t in inst.triples)
+
+    return _first_order(inst.elements, conflicts, satisfies_all)

@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -21,8 +22,9 @@ from wheelerkit import (
     trim_basic,
     word,
 )
+from wheelerkit.automaton import shortest_entering_words
 from conftest import make
-from corpus import all_words, random_trimmed_nfa
+from corpus import all_words, random_feasible_dfa, random_trimmed_nfa
 
 
 def test_parse_wdfa6_fixture(fixtures_dir, wdfa6):
@@ -196,3 +198,48 @@ def test_to_dot_mentions_every_state_and_edge(wdfa6):
     dot = to_dot(wdfa6)
     assert dot.count("doublecircle") == len(wdfa6.finals)
     assert '0 -> 1 [label="a"]' in dot
+
+
+def heap_entering_words(a, per_state=None, max_len=None, budget=None):
+    """(length, co-lex) Dijkstra over words: the oracle for the layered walk."""
+    syms = a.alphabet.symbols
+    words = {q: [] for q in range(a.n)}
+    heap = [(0, (), a.initial)]
+    pops = 0
+    while heap:
+        pops += 1
+        if budget is not None and pops > budget:
+            return {q: tuple(ws) for q, ws in words.items()}, True
+        _, kw, q = heapq.heappop(heap)
+        if per_state is not None and len(words[q]) >= per_state:
+            continue
+        w = tuple(syms[i] for i in reversed(kw))
+        words[q].append(w)
+        if max_len is not None and len(w) >= max_len:
+            continue
+        for i, sym in enumerate(syms):
+            for t in a.out_map.get((q, sym), ()):
+                if per_state is None or len(words[t]) < per_state:
+                    heapq.heappush(heap, (len(w) + 1, (i,) + kw, t))
+    return {q: tuple(ws) for q, ws in words.items()}, False
+
+
+def test_entering_words_match_the_heap_walk():
+    rng = random.Random(3)
+    argument_sets = [
+        {"per_state": 1},
+        {"per_state": 2, "max_len": 4},
+        {"max_len": 5},
+        {"max_len": 6, "budget": 0},
+        {"max_len": 6, "budget": 1},
+        {"per_state": 3, "budget": 7},
+        {"max_len": 8, "budget": 50},
+    ]
+    truncated = 0
+    for _ in range(300):
+        d = random_feasible_dfa(rng, max_n=6, max_sigma=3)
+        for kwargs in argument_sets:
+            got = shortest_entering_words(d, **kwargs)
+            assert got == heap_entering_words(d, **kwargs), kwargs
+            truncated += got[1]
+    assert 0 < truncated < 300 * len(argument_sets)

@@ -113,6 +113,61 @@ def test_solve_betweenness(fixtures_dir):
     assert code == 1 and block["verdict"] == "unsat"
 
 
+# Exit code and stdout recorded with the exhaustive order loops, before the
+# searches pruned prefixes; FILE stands for the input path.
+PINNED_ORDER_SEARCHES = [
+    (('check-gw', 'astar.aut', '--automaton'), 1,
+     'FILE: automaton is not generalized Wheeler\n---\nverdict: not-gw\n'),
+    (('check-gw', 'astar.aut', '--language'), 0,
+     'FILE: language is generalized Wheeler\n---\nverdict: gw\norder: a\n'),
+    (('check-gw', 'epsilon_d.aut', '--automaton'), 0,
+     'FILE: automaton is generalized Wheeler\n---\nverdict: gw\norder: d\n'),
+    (('check-gw', 'epsilon_d.aut', '--language'), 0,
+     'FILE: language is generalized Wheeler\n---\nverdict: gw\norder: d\n'),
+    (('check-gw', 'epsonly.aut', '--automaton'), 0,
+     'FILE: automaton is generalized Wheeler\n---\nverdict: gw\norder: a\n'),
+    (('check-gw', 'epsonly.aut', '--language'), 0,
+     'FILE: language is generalized Wheeler\n---\nverdict: gw\norder: a\n'),
+    (('check-gw', 'mind4_nonwheeler.aut', '--automaton'), 1,
+     'FILE: automaton is not generalized Wheeler\n---\nverdict: not-gw\n'),
+    (('check-gw', 'mind4_nonwheeler.aut', '--language'), 0,
+     'FILE: language is generalized Wheeler\n---\nverdict: gw\norder: a c b f\n'),
+    (('check-gw', 'mind4_wheeler.aut', '--automaton'), 1,
+     'FILE: automaton is not generalized Wheeler\n---\nverdict: not-gw\n'),
+    (('check-gw', 'mind4_wheeler.aut', '--language'), 0,
+     'FILE: language is generalized Wheeler\n---\nverdict: gw\norder: a c d f\n'),
+    (('check-gw', 'notwdfa6.aut', '--automaton'), 0,
+     'FILE: automaton is generalized Wheeler\n---\nverdict: gw\norder: a c b f\n'),
+    (('check-gw', 'notwdfa6.aut', '--language'), 0,
+     'FILE: language is generalized Wheeler\n---\nverdict: gw\norder: a c b f\n'),
+    (('check-gw', 'starfree_nongw.aut', '--automaton'), 1,
+     'FILE: automaton is not generalized Wheeler\n---\nverdict: not-gw\n'),
+    (('check-gw', 'starfree_nongw.aut', '--language'), 1,
+     'FILE: language is not generalized Wheeler\n---\nverdict: not-gw\n'),
+    (('check-gw', 'universal1.aut', '--automaton'), 1,
+     'FILE: automaton is not generalized Wheeler\n---\nverdict: not-gw\n'),
+    (('check-gw', 'universal1.aut', '--language'), 0,
+     'FILE: language is generalized Wheeler\n---\nverdict: gw\norder: d\n'),
+    (('check-gw', 'wdfa6.aut', '--automaton'), 0,
+     'FILE: automaton is generalized Wheeler\n---\nverdict: gw\norder: a c d f\n'),
+    (('check-gw', 'wdfa6.aut', '--language'), 0,
+     'FILE: language is generalized Wheeler\n---\nverdict: gw\norder: a c d f\n'),
+    (('solve-betweenness', 'conflict.bet'), 1,
+     'FILE: unsatisfiable\n---\nverdict: unsat\n'),
+    (('solve-betweenness', 'triple1.bet'), 0,
+     'FILE: satisfiable\n---\nverdict: sat\norder: y1 y2 y3\n'),
+]
+
+
+def test_order_searches_keep_their_output_on_the_fixtures(fixtures_dir):
+    assert len(PINNED_ORDER_SEARCHES) == 2 * len(list(fixtures_dir.glob("*.aut"))) + len(
+        list(fixtures_dir.glob("*.bet")))
+    for (command, name, *flags), expected_code, expected_out in PINNED_ORDER_SEARCHES:
+        path = str(fixtures_dir / name)
+        code, _, _, text = run_cli(command, path, *flags)
+        assert (code, text.replace(path, "FILE")) == (expected_code, expected_out), name
+
+
 def test_reduce_subcommands(fixtures_dir, tmp_path):
     code, _, block, _ = run_cli("reduce", "universality",
                                 str(fixtures_dir / "universal1.aut"),
