@@ -7,12 +7,17 @@ A Wheeler order is a total order on states with the initial state as minimum
   (ii) a1 = a2 and u1 < u2     implies  v1 <= v2
 
 For DFAs the order, when it exists, is unique: sort states by the
-co-lexicographic order of any word entering them.  For NFAs existence is
-decided by backtracking over the orderings inside each in-label block.
+co-lexicographic order of any word entering them.  For NFAs a stable-rank
+refinement first splits each in-label block into ranked classes, sorting
+states by the (min, max) rank of their in-edge sources until no class
+splits; every Wheeler order agrees with those ranks, and the fixpoint
+refutes every order when a class is inconsistent.  Existence is then decided
+by backtracking over the orderings inside each class.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .alphabet import INITIAL_MARK
@@ -193,15 +198,18 @@ def dfa_wheeler_order(d):
 
 
 class _OrderSearch:
-    """Backtracking over within-block state orders with constraint propagation.
+    """Backtracking over the orders inside ranked classes, with propagation.
 
     Blocks (states grouped by in-label) are already totally ordered by the
-    alphabet, so condition (i) holds structurally; the search decides the
-    relative order of same-block pairs.  Orienting u1 < u2 forces v1 < v2 for
-    every pair of equally labeled edges with targets v1 != v2, and order
-    relations are kept transitively closed inside each block.  Implications
-    are generated from the out-edges on demand and decisions live on an
-    explicit stack, so memory is O(states + edges + oriented pairs).
+    alphabet, so condition (i) holds structurally.  `refine` first splits
+    the blocks into ranked classes whose order every Wheeler order shares,
+    so a pair of states in different classes is fixed and compared by rank,
+    in O(1) and never stored.  The search decides the relative order of
+    same-class pairs.  Orienting u1 < u2 forces v1 < v2 for every pair of
+    equally labeled edges with targets v1 != v2, and order relations are
+    kept transitively closed inside each class.  Implications are generated
+    from the out-edges on demand and decisions live on an explicit stack, so
+    memory is O(states + edges + oriented pairs).
     """
 
     def __init__(self, a, blocks, budget):
@@ -215,9 +223,60 @@ class _OrderSearch:
         self.out = [{} for _ in range(a.n)]  # state -> symbol -> sorted targets
         for (u, sym, v) in sorted(a.edges):
             self.out[u].setdefault(sym, []).append(v)
-        self.below = [set() for _ in range(a.n)]  # same-block states known to precede
-        self.above = [set() for _ in range(a.n)]  # same-block states known to follow
+        self.in_edges = a.in_edges
+        self.rank = list(self.block_of)  # class position; classes refine blocks
+        self.classes = [list(states) for states in blocks]  # by rank, each by id
+        self.below = [set() for _ in range(a.n)]  # class mates known to precede
+        self.above = [set() for _ in range(a.n)]  # class mates known to follow
         self.trail = []  # oriented pairs (p before q), oldest first
+
+    def interval(self, q):
+        """(min, max) rank of the sources of q's in-edges."""
+        ranks = [self.rank[e[0]] for e in self.in_edges[q]]
+        return (min(ranks), max(ranks)) if ranks else (-1, -1)
+
+    def refine(self):
+        """Split classes by source interval until none splits; False when
+        the fixpoint shows that no Wheeler order exists.
+
+        By condition (ii), a source of v in an earlier class than a source
+        of w puts v before w, so sorting a class by (min, max) source rank
+        gives an order every Wheeler order shares.  Singleton classes cannot
+        split; every other state counts one node per round.
+        """
+        while True:
+            split = []
+            for members in self.classes:
+                if len(members) == 1:
+                    split.append(members)
+                    continue
+                self.nodes += len(members)
+                if self.nodes > self.budget:
+                    raise SearchBudgetExceeded(f"order search passed {self.budget} nodes")
+                keyed = {}
+                for q in members:
+                    keyed.setdefault(self.interval(q), []).append(q)
+                split.extend(keyed[key] for key in sorted(keyed))
+            if len(split) == len(self.classes):
+                break
+            self.classes = split
+            for r, members in enumerate(split):
+                for q in members:
+                    self.rank[q] = r
+        # A class of two or more with lo < hi has each state before the other;
+        # a class whose lo lies below an earlier class's hi (same block) has a
+        # state before one of an earlier class.  Otherwise cross-class source
+        # pairs only push cross-class target pairs, and those agree with rank.
+        top = None  # (block, hi) of the previous class, the block's largest hi
+        for members in self.classes:
+            lo, hi = self.interval(members[0])
+            if len(members) > 1 and lo != hi:
+                return False
+            block = self.block_of[members[0]]
+            if top is not None and top[0] == block and top[1] > lo:
+                return False
+            top = (block, hi)
+        return True
 
     def implied(self, p, q):
         """Target pairs (v, w) that p-before-q pushes into v-before-w."""
@@ -230,9 +289,9 @@ class _OrderSearch:
 
     def before(self, p, q):
         """+1 if p is known to precede q, -1 if q precedes p, 0 if open."""
-        bp, bq = self.block_of[p], self.block_of[q]
-        if bp != bq:
-            return 1 if bp < bq else -1
+        rp, rq = self.rank[p], self.rank[q]
+        if rp != rq:
+            return 1 if rp < rq else -1
         return 1 if p in self.below[q] else -1 if q in self.below[p] else 0
 
     def orient(self, p, q):
@@ -252,8 +311,7 @@ class _OrderSearch:
             self.above[x].add(y)
             self.trail.append((x, y))
             stack.extend(self.implied(x, y))
-            # close transitively: r < x gives r < y, and y < r gives x < r;
-            # blocks list states by id, so id order is block order
+            # close transitively: r < x gives r < y, and y < r gives x < r
             below_x, above_y = self.below[x], self.above[y]
             for r in sorted(below_x | above_y):
                 if r in below_x:
@@ -269,14 +327,18 @@ class _OrderSearch:
             self.above[p].discard(q)
 
     def next_open(self, bi, i, j):
-        """Position (bi, i, j) of the first unoriented pair blocks[bi][i] <
-        blocks[bi][j] at or after the given position, or None."""
+        """Position (bi, i, j) of the first unoriented pair p = blocks[bi][i]
+        before q = classes[rank[p]][j] at or after the given position, or
+        None.  Blocks and classes list states by id, so pairs come in the
+        order (block, id of p, id of q > id of p)."""
         for bi in range(bi, len(self.blocks)):
             states = self.blocks[bi]
             for i in range(i, len(states)):
-                above, below = self.above[states[i]], self.below[states[i]]
-                for j in range(max(j, i + 1), len(states)):
-                    if states[j] not in above and states[j] not in below:
+                p = states[i]
+                mates = self.classes[self.rank[p]]
+                above, below = self.above[p], self.below[p]
+                for j in range(max(j, bisect_right(mates, p)), len(mates)):
+                    if mates[j] not in above and mates[j] not in below:
                         return bi, i, j
                 j = 0
             i = 0
@@ -286,10 +348,11 @@ class _OrderSearch:
         """Depth first: orient the first open pair one way, then the other.
         Pairs before a decision stay oriented below it, so scans resume there."""
         decisions = []  # (trail mark, pair position, second way taken)
-        pos, flipped = self.next_open(0, 0, 1), False
+        pos, flipped = self.next_open(0, 0, 0), False
         while pos is not None:
             bi, i, j = pos
-            p, q = self.blocks[bi][i], self.blocks[bi][j]
+            p = self.blocks[bi][i]
+            q = self.classes[self.rank[p]][j]
             mark = len(self.trail)
             if self.orient(*((q, p) if flipped else (p, q))):
                 decisions.append((mark, pos, flipped))
@@ -305,8 +368,8 @@ class _OrderSearch:
         return True
 
     def extract_order(self):
-        states = sorted(range(len(self.block_of)),
-                        key=lambda q: (self.block_of[q], len(self.below[q])))
+        states = sorted(range(len(self.rank)),
+                        key=lambda q: (self.rank[q], len(self.below[q])))
         return WheelerOrder.from_sequence(states)
 
 
@@ -315,11 +378,15 @@ def nfa_wheeler_search(a, budget=10 ** 6):
 
     Returns a WheelerOrder, or an input-consistency WheelerViolation, or None
     when the exhaustive search proves no order works.  Raises
-    SearchBudgetExceeded when the node budget runs out first.
+    SearchBudgetExceeded when the node budget (refinement re-keys plus
+    propagation steps) runs out first, and WheelerkitError when a state
+    other than the initial one has no in-edge.
     """
     lam = input_consistency(a)
     if isinstance(lam, WheelerViolation):
         return lam
+    if None in lam.labels:
+        raise WheelerkitError("nfa_wheeler_search wants a trimmed automaton")
     label_rank = {INITIAL_MARK: -1}
     label_rank.update(a.alphabet.position)
     grouped = {}
@@ -328,15 +395,7 @@ def nfa_wheeler_search(a, budget=10 ** 6):
     blocks = [sorted(grouped[r]) for r in sorted(grouped)]
 
     search = _OrderSearch(a, blocks, budget)
-    # seed with the implications of the already-fixed cross-block source pairs
-    senders = [p for p in range(a.n) if search.out[p]]
-    for p in senders:
-        for q in senders:
-            if search.block_of[p] < search.block_of[q]:
-                for (v, w) in search.implied(p, q):
-                    if not search.orient(v, w):
-                        return None
-    if not search.solve():
+    if not search.refine() or not search.solve():
         return None
     order = search.extract_order()
     violation = verify_wheeler(a, order)

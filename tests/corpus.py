@@ -107,6 +107,20 @@ def random_wheeler_nfa(rng, max_n=8, max_sigma=3):
             return a, order
 
 
+def random_trie(rng, n):
+    """Random trie (tree DFA) with n states over a, b, c, as the benchmark's
+    nfa-order workload draws them: leaves are final and so is each inner
+    state with probability 0.2."""
+    free = {0: list(SYMS)}
+    edges = set()
+    for q in range(1, n):
+        u = rng.choice([p for p in free if free[p]])
+        edges.add((u, free[u].pop(rng.randrange(len(free[u]))), q))
+        free[q] = list(SYMS)
+    finals = {q for q in range(n) if len(free[q]) == len(SYMS) or rng.random() < 0.2}
+    return Automaton(OrderedAlphabet(SYMS), n, 0, frozenset(finals), frozenset(edges))
+
+
 def enumerate_simple_cycles(a):
     """Labels of simple cycles, each read from its smallest state."""
     labels = []

@@ -1,13 +1,15 @@
 import contextlib
 import io
 import pathlib
+import random
 import tempfile
 import time
 
 from hypothesis import example, given, settings, strategies as st
 
-from wheelerkit import cli, parse_automaton, language_equal
+from wheelerkit import cli, parse_automaton, language_equal, serialize_automaton
 from wheelerkit.cli import main
+from corpus import random_trie
 
 
 def run_cli(*argv):
@@ -267,6 +269,17 @@ def test_check_nfa_budget_bounds_a_two_thousand_leaf_star(tmp_path):
     code, _, _, _ = run_cli("check-nfa", path, "--budget", "10000")
     assert code == 2
     assert time.perf_counter() - started < 10
+
+
+def test_check_nfa_decides_a_five_hundred_state_trie(tmp_path):
+    path = _aut(tmp_path, serialize_automaton(random_trie(random.Random(11), 500)))
+    code, _, block, _ = run_cli("check-nfa", path)
+    assert code == 0 and block["verdict"] == "wheeler"
+    dfa_code, _, dfa_block, _ = run_cli("check-dfa", path)
+    assert dfa_code == 0
+    order = {k: v for k, v in block.items() if k.startswith("order.")}
+    assert len(order) == 500
+    assert order == {k: v for k, v in dfa_block.items() if k.startswith("order.")}
 
 
 def test_unexpected_exception_exits_internal_without_traceback(fixtures_dir, monkeypatch):
