@@ -6,7 +6,6 @@ reduction gadgets, plus a command line front end.
 """
 
 from .alphabet import (
-    EPSILON,
     INITIAL_MARK,
     ColexVerdict,
     OrderedAlphabet,

@@ -17,10 +17,6 @@ from .errors import WheelerkitError
 # It is reserved: no alphabet may contain it, and it sorts below every symbol.
 INITIAL_MARK = "#"
 
-Word = tuple  # alias used in signatures; a word is a tuple of symbol tokens
-
-EPSILON: Word = ()
-
 
 def word(text):
     """Build a word from a whitespace-separated token string ('' -> epsilon)."""
@@ -60,9 +56,6 @@ class OrderedAlphabet:
 
     def __contains__(self, sym):
         return sym in self.position
-
-    def rank(self, sym):
-        return self.position[sym]
 
     def colex_key(self, w):
         """Sort key realizing the co-lexicographic order: ranks of the reversed word."""

@@ -92,10 +92,9 @@ def _violation_block(violation):
             ("evidence", ev)]
 
 
-def _parse_caps(text, n):
-    caps = language.SearchCaps.default(n)
-    if not text:
-        return caps
+def _parse_caps(text):
+    """Caps given as key=value items; the items left out are sized from the
+    minimum DFA, as when no caps are given."""
     values = {}
     for part in text.split(","):
         if "=" not in part:
@@ -106,10 +105,10 @@ def _parse_caps(text, n):
             raise _CliError(f"bad caps item {part!r}")
         values[key] = int(raw)
     return language.SearchCaps(
-        gamma_bound=values.get("gamma", caps.gamma_bound),
-        cycle_len_cap=values.get("cycle", caps.cycle_len_cap),
-        pump_cap=values.get("pump", caps.pump_cap),
-        path_count_cap=values.get("paths", caps.path_count_cap),
+        gamma_bound=values.get("gamma"),
+        cycle_len_cap=values.get("cycle"),
+        pump_cap=values.get("pump"),
+        path_count_cap=values.get("paths"),
     )
 
 
@@ -143,7 +142,7 @@ def cmd_check_nfa(args):
 
 def cmd_check_lang(args):
     a = trim_basic(_load_automaton(args.file))
-    caps = _parse_caps(args.caps, a.n) if args.caps else None
+    caps = _parse_caps(args.caps) if args.caps else None
     started = time.perf_counter()
     if args.nfa:
         verdict = language.is_language_wheeler_nfa(a, method=args.method, caps=caps)

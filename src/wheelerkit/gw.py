@@ -7,36 +7,21 @@ Wheeler.  Both checks and the betweenness solver run one depth-first search
 over order prefixes (`_first_order`), lexicographic in the listed order, and
 report the first order that works.  The search drops a prefix, with all of
 its completions, once it satisfies a conflict: a pair of "s before t"
-literals that refutes every order satisfying both.  The language check and
-the solver derive their conflicts from the input before searching (a
-screened witness, a violated triple); the DFA check learns one from each
-order it rejects (a condition-(ii) inversion).  So the per-order test runs
-only on orders no known conflict refutes, and the first one it accepts is
-the first accepted permutation.
+literals that refutes every order satisfying both.  The solver reads its
+conflicts off the triples before searching.  The language check reads its
+own off the minimum DFA, one walk per state pair; they refute exactly the
+orders that admit a witness, so it needs no per-order test.  The DFA check
+learns a conflict from each order it rejects (a condition-(ii) inversion).
+So the per-order test runs only on orders no known conflict refutes, and
+the first one it accepts is the first accepted permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import dfa_walk, minimize, shortest_entering_words, with_alphabet_order
-from .errors import (
-    AlphabetTooLarge,
-    FormatError,
-    InfeasibleEnumeration,
-    TooManyElements,
-    WheelerkitError,
-)
-from .language import (
-    BOUNDED_WHEELER,
-    METHOD_BOTH,
-    WHEELER,
-    SearchCaps,
-    collect_candidates,
-    is_language_wheeler_dfa,
-    search_witness,
-)
-from .minwdfa import DEFAULT_WORD_CAP
+from .automaton import minimize, shortest_entering_words, with_alphabet_order
+from .errors import AlphabetTooLarge, FormatError, TooManyElements, WheelerkitError
 from .wheeler import (
     CONDITION_II,
     WheelerOrder,
@@ -192,106 +177,86 @@ def gw_automaton_check(a, max_sigma=DEFAULT_MAX_SIGMA, budget=10 ** 6):
     return _first_order(symbols, [], nfa_wheeler_under)
 
 
-def _reversed_trie(words):
-    """Trie of the reversed words; a node is [children by symbol, length of
-    the shortest word through it, whether a word ends there].  The words
-    come shortest first, so the word that makes a node is its shortest."""
-    root = [{}, 0, False]
-    for w in words:
-        node = root
-        for sym in reversed(w):
-            child = node[0].get(sym)
-            if child is None:
-                child = node[0][sym] = [{}, len(w), False]
-            node = child
-        node[2] = True
-    return root
+def _witness_conflicts(min_dfa):
+    """Conflicts that refute exactly the orders under which the language of
+    `min_dfa` has a witness (mu, nu, gamma): mu and nu reach states u != v,
+    gamma cycles at both, is a suffix of neither, and sorts co-lex on the
+    same side of both.
 
-
-def _screen_literals(trie, gamma):
-    """Literals for "w < gamma" and for "gamma < w" over the words w of the
-    trie that the witness screen may pick: |w| <= |gamma| and gamma not a
-    suffix of w.  One walk down the reversed gamma: a word leaves the path
-    where it first differs from gamma, or ends on it as a proper suffix of
-    gamma, which sorts before gamma under every order."""
-    less, greater = set(), set()
-    node = trie
-    for i in range(1, len(gamma) + 1):
-        if node[2]:
-            less.add(True)
-        g = gamma[-i]
-        for sym, child in node[0].items():
-            if sym != g and child[1] <= len(gamma):
-                less.add((sym, g))
-                greater.add((g, sym))
-        node = node[0].get(g)
-        if node is None:
-            break
-    return less, greater
-
-
-def _screen_conflicts(min_dfa, screen):
-    """Orders on which `search_witness(screen)` finds a witness: for a gamma
-    cycling at both states of an anchor pair (u, v), eligible entering words
-    of u and of v on the same side of gamma."""
-    tries = {}
-    sides = {}
-
-    def literals(gamma, q):
-        if (gamma, q) not in sides:
-            if q not in tries:
-                tries[q] = _reversed_trie(screen.entering[q])
-            sides[gamma, q] = _screen_literals(tries[q], gamma)
-        return sides[gamma, q]
-
+    Pumping gamma keeps every condition, so no length bound is needed.  Per
+    pair u < v, one walk reads gamma backwards from (u, v) in the pair
+    product, over pairs the forward walk from (u, v) reaches (so gamma can
+    always close into a cycle there), and reads mu and nu backwards from u
+    and v alongside it.  A side's status is its DFA state while the word
+    equals gamma so far; once decided, it is the literals under which the
+    word sorts before gamma: ((x, c),) when it reads x where gamma reads c,
+    or () when it ended at the initial state, a proper suffix of gamma.
+    """
+    init, syms = min_dfa.initial, min_dfa.alphabet.symbols
+    succ, pred = {}, {}
+    for (s, c, t) in min_dfa.edges:
+        succ[s, c] = t
+        pred.setdefault((t, c), []).append(s)
+    # statuses of a word equal to gamma so far at s, after gamma's next letter c
+    moves = {}
+    for s in range(min_dfa.n):
+        for c in syms:
+            same = pred.get((s, c), [])
+            moves[s, c] = same + [()] * (init in same) + [
+                ((x, c),) for x in syms if x != c and (s, x) in pred]
     conflicts = set()
-    for gamma, pairs in screen.gammas.items():
-        for (u, v) in pairs:
-            if (dfa_walk(min_dfa, gamma, start=u) != u
-                    or dfa_walk(min_dfa, gamma, start=v) != v):
-                continue
-            for lits_u, lits_v in zip(literals(gamma, u), literals(gamma, v)):
-                for lu in lits_u:
-                    for lv in lits_v:
-                        conflicts.add(_conflict(lu, lv))
+    for u in range(min_dfa.n):
+        for v in range(u + 1, min_dfa.n):
+            reach, stack = {(u, v)}, [(u, v)]
+            while stack:
+                p, q = stack.pop()
+                for c in syms:
+                    nxt = (succ.get((p, c)), succ.get((q, c)))
+                    if None not in nxt and nxt not in reach:
+                        reach.add(nxt)
+                        stack.append(nxt)
+            stack = [(u, v, a, b) for a in [u] + [()] * (u == init)
+                     for b in [v] + [()] * (v == init)]
+            seen = set(stack)
+            while stack:
+                p, q, a, b = stack.pop()
+                if isinstance(a, tuple) and isinstance(b, tuple):
+                    if not a + b:  # both proper suffixes: every order has a witness
+                        return {()}
+                    conflicts.add(a + b)
+                    if a and b:  # both after gamma: the flipped literals
+                        conflicts.add(tuple((c, x) for (x, c) in a + b))
+                    continue
+                for c in syms:
+                    steps_a = (a,) if isinstance(a, tuple) else moves[a, c]
+                    steps_b = (b,) if isinstance(b, tuple) else moves[b, c]
+                    for p2 in pred.get((p, c), ()):
+                        for q2 in pred.get((q, c), ()):
+                            if (p2, q2) not in reach:
+                                continue
+                            for a2 in steps_a:
+                                for b2 in steps_b:
+                                    node = (p2, q2, a2, b2)
+                                    if node not in seen:
+                                        seen.add(node)
+                                        stack.append(node)
     return conflicts
 
 
-def gw_language_check(d, max_sigma=DEFAULT_MAX_SIGMA, word_cap=DEFAULT_WORD_CAP):
-    """First alphabet order under which the language of the DFA is Wheeler.
+def gw_language_check(d, max_sigma=DEFAULT_MAX_SIGMA):
+    """First alphabet order under which the language of the DFA is Wheeler,
+    or None.
 
-    Per order the full two-sided decider runs, but a cheap screen goes first:
-    witness candidates (cycle structure and entering words) are collected once
-    from the minimized automaton, because only the co-lex comparisons depend
-    on the order; any order with a re-validated witness is refuted without
-    rebuilding anything.  The orders the screen refutes are read off the
-    candidates as conflicts, so the search skips them by whole prefixes.
+    Whether an order admits a witness depends only on a few symbol
+    comparisons, so the conflicts read once off the minimum DFA refute
+    exactly the non-Wheeler orders, and the first order they leave is the
+    answer: no order is rebuilt or checked on its own.
     """
     if not d.deterministic:
         raise WheelerkitError("gw_language_check wants a DFA")
     _check_sigma(d.alphabet, max_sigma)
-    min_dfa = minimize(d)
-    screen_caps = SearchCaps(
-        gamma_bound=min(64, 4 * min_dfa.n + 8),
-        cycle_len_cap=min(min_dfa.n ** 2, 10),
-        pump_cap=3,
-        path_count_cap=5_000,
-    )
-    screen = collect_candidates(min_dfa, screen_caps)
-
-    def language_wheeler_under(order):
-        candidate = with_alphabet_order(min_dfa, order)
-        if search_witness(candidate, screen) is not None:
-            return False
-        verdict = is_language_wheeler_dfa(candidate, method=METHOD_BOTH,
-                                          word_cap=word_cap)
-        if verdict.status == BOUNDED_WHEELER:
-            raise InfeasibleEnumeration(
-                f"cannot certify the order {' '.join(order)} either way")
-        return verdict.status == WHEELER
-
-    return _first_order(d.alphabet.symbols, list(_screen_conflicts(min_dfa, screen)),
-                        language_wheeler_under)
+    return _first_order(d.alphabet.symbols, list(_witness_conflicts(minimize(d))),
+                        lambda order: True)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ via the minimum-WDFA builder; `method="both"` cross-checks them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .alphabet import is_suffix
 from .automaton import (determinize, dfa_walk, minimize, run, shortest_entering_words,
@@ -56,24 +56,32 @@ class Witness:
 
 @dataclass(frozen=True)
 class SearchCaps:
-    gamma_bound: int
-    cycle_len_cap: int
-    pump_cap: int
-    path_count_cap: int
+    """Witness search caps; a field left None takes its default for the
+    minimum DFA's size (see `default`)."""
+
+    gamma_bound: int = None
+    cycle_len_cap: int = None
+    pump_cap: int = None
+    path_count_cap: int = None
 
     def __post_init__(self):
         for f in ("gamma_bound", "cycle_len_cap", "pump_cap", "path_count_cap"):
-            if getattr(self, f) < 1:
+            if getattr(self, f) is not None and getattr(self, f) < 1:
                 raise WheelerkitError(f"{f} must be positive")
 
     @staticmethod
-    def default(n):
-        return SearchCaps(
+    def default(n, caps=None):
+        """Caps for an n-state minimum DFA: the fields `caps` sets, and for
+        the rest the defaults, which cover every witness (`covers`)."""
+        full = SearchCaps(
             gamma_bound=gamma_length_bound(n),
             cycle_len_cap=n * n,
             pump_cap=n + 1,
             path_count_cap=100_000,
         )
+        if caps is None:
+            return full
+        return replace(full, **{f: v for f, v in vars(caps).items() if v is not None})
 
     def covers(self, n):
         """True when no witness against an n-state DFA can be out of scope
@@ -280,7 +288,7 @@ def collect_candidates(min_dfa, caps):
     return WitnessCandidates(gammas=gammas, entering=entering, truncated=truncated)
 
 
-def search_witness(min_dfa, candidates, caps=None):
+def search_witness(min_dfa, candidates):
     """Smallest witness over the candidates, by (|gamma|, gamma, mu, nu).
 
     Evaluates the side conditions under `min_dfa`'s alphabet order, so the
@@ -327,8 +335,8 @@ def search_witness(min_dfa, candidates, caps=None):
 
 def find_witness(min_dfa, caps=None):
     """Search for a witness against the minimum DFA, within the caps."""
-    caps = caps if caps is not None else SearchCaps.default(min_dfa.n)
-    return search_witness(min_dfa, collect_candidates(min_dfa, caps), caps)
+    caps = SearchCaps.default(min_dfa.n, caps)
+    return search_witness(min_dfa, collect_candidates(min_dfa, caps))
 
 
 def is_language_wheeler_dfa(d, method=METHOD_BOTH, caps=None,
@@ -346,12 +354,12 @@ def is_language_wheeler_dfa(d, method=METHOD_BOTH, caps=None,
         raise NotDeterministic("language check wants a DFA (use the nfa variant)")
     min_dfa = minimize(d)
     n = min_dfa.n
-    caps = caps if caps is not None else SearchCaps.default(n)
+    caps = SearchCaps.default(n, caps)
 
     witness = covered = None
     if method in (METHOD_WITNESS, METHOD_BOTH):
         candidates = collect_candidates(min_dfa, caps)
-        witness = search_witness(min_dfa, candidates, caps)
+        witness = search_witness(min_dfa, candidates)
         covered = caps.covers(n) and not candidates.truncated
         del candidates  # free the entering words before the WDFA construction
         if witness is not None and method == METHOD_WITNESS:

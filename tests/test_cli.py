@@ -82,6 +82,17 @@ def test_check_lang_caps_flag(fixtures_dir):
     assert code == 2 and block["verdict"] == "bounded-wheeler"
 
 
+def test_check_lang_caps_left_out_are_sized_from_the_minimum_dfa(tmp_path):
+    # three input states, four in the minimum DFA of its determinization
+    path = _aut(tmp_path, "alphabet a\nstates 3\ninitial 0\nfinal 2\nedge 0 a 2\n"
+                          "edge 1 a 0\nedge 1 a 1\nedge 1 a 2\nedge 2 a 1\n")
+    command = ("check-lang", path, "--nfa", "--method", "witness")
+    default = run_cli(*command)
+    assert default[0] == 0 and default[2]["verdict"] == "wheeler"
+    # paths=100000 is the default value, so the verdict must not change
+    assert run_cli(*command, "--caps", "paths=100000")[2] == default[2]
+
+
 def test_min_wdfa_roundtrip(fixtures_dir, tmp_path, wdfa6):
     out = tmp_path / "out.aut"
     code, _, block, _ = run_cli("min-wdfa", str(fixtures_dir / "mind4_wheeler.aut"),

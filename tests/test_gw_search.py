@@ -31,6 +31,7 @@ from wheelerkit.automaton import shortest_entering_words
 from wheelerkit.language import (
     BOUNDED_WHEELER,
     METHOD_BOTH,
+    NOT_WHEELER,
     WHEELER,
     SearchCaps,
     collect_candidates,
@@ -142,7 +143,6 @@ def exact_pruning(monkeypatch):
 
         monkeypatch.setattr(gw, name, checked)
 
-    expect("search_witness", None)
     expect("triple_satisfied", True)
     rejected = []
 
@@ -251,6 +251,22 @@ def test_random_dfas_match_the_oracles(exact_pruning):
         d = random_feasible_dfa(rng, max_n=6, max_sigma=4)
         check_automaton(d, exact_pruning)
         assert_same(gw_language_check, oracle_gw_language, d)
+
+
+def test_witness_conflicts_refute_exactly_the_non_wheeler_orders():
+    rng = random.Random(606)
+    orders = refuted = 0
+    for _ in range(150):
+        m = minimize(random_feasible_dfa(rng, max_n=6, max_sigma=4))
+        conflicts = gw._witness_conflicts(m)
+        for order in itertools.permutations(m.alphabet.symbols):
+            position = {s: i for i, s in enumerate(order)}
+            holds = any(all(position[s] < position[t] for s, t in c) for c in conflicts)
+            verdict = is_language_wheeler_dfa(with_alphabet_order(m, order))
+            assert holds == (verdict.status == NOT_WHEELER), (m, order)
+            orders += 1
+            refuted += holds
+    assert orders > 500 and 100 < refuted < orders - 100
 
 
 def test_random_nfas_match_the_oracle():
