@@ -7,10 +7,7 @@ reduction gadgets, plus a command line front end.
 
 from .alphabet import (
     INITIAL_MARK,
-    ColexVerdict,
     OrderedAlphabet,
-    colex_compare,
-    is_primitive,
     is_suffix,
     word,
 )
@@ -22,7 +19,6 @@ from .automaton import (
     language_equal,
     minimize,
     parse_automaton,
-    right_context_equal,
     run,
     serialize_automaton,
     to_dot,
@@ -57,22 +53,14 @@ from .language import (
     SearchCaps,
     Witness,
     check_witness_dfa,
-    check_witness_nfa,
-    dfa_witness_bound_ok,
-    find_witness,
     gamma_length_bound,
     is_language_wheeler_dfa,
     is_language_wheeler_nfa,
-    nfa_witness_bound_ok,
 )
 from .minwdfa import (
-    Fingerprint,
-    PrefixList,
     Wdfa,
     build_min_wdfa,
     certifying_depth,
-    compute_fingerprint,
-    enumerate_prefixes,
 )
 from .reductions import (
     ReductionReport,
@@ -87,7 +75,6 @@ from .wheeler import (
     dfa_wheeler_order,
     input_consistency,
     nfa_wheeler_search,
-    path_coherence_check,
     verify_wheeler,
 )
 

@@ -8,7 +8,6 @@ so constructions that mint fresh symbols can use names like ``x1`` or ``e!``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 from .errors import WheelerkitError
@@ -21,12 +20,6 @@ INITIAL_MARK = "#"
 def word(text):
     """Build a word from a whitespace-separated token string ('' -> epsilon)."""
     return tuple(text.split())
-
-
-class ColexVerdict(Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
 
 
 @dataclass(frozen=True)
@@ -63,33 +56,8 @@ class OrderedAlphabet:
         return tuple(pos[s] for s in reversed(w))
 
 
-def colex_compare(alphabet, a, b):
-    """Compare two words in the co-lexicographic order of `alphabet`.
-
-    a precedes b iff the reverse of a precedes the reverse of b
-    lexicographically; the empty word precedes every other word.
-    """
-    ka, kb = alphabet.colex_key(a), alphabet.colex_key(b)
-    if ka < kb:
-        return ColexVerdict.LESS
-    if ka > kb:
-        return ColexVerdict.GREATER
-    return ColexVerdict.EQUAL
-
-
 def is_suffix(a, b):
     """True iff word `a` is a suffix of word `b` (epsilon suffixes everything)."""
     if len(a) > len(b):
         return False
     return not a or b[-len(a):] == a
-
-
-def is_primitive(w):
-    """True iff the nonempty word `w` is not a proper power of a shorter word."""
-    n = len(w)
-    if n == 0:
-        raise WheelerkitError("the empty word has no primitivity")
-    for d in range(1, n):
-        if n % d == 0 and w[:d] * (n // d) == w:
-            return False
-    return True

@@ -3,12 +3,21 @@
 An Automaton is an NFA over an ordered alphabet with a single initial state;
 DFAs are just automata where every (state, symbol) has at most one out-edge.
 Every operation is a pure function returning fresh values.
+
+Readers get the transition function from three views of `edges`, built once
+per automaton and indexed by state and symbol rank (position in the
+alphabet): `succ[q][r]` and `pred[q][r]` are the sorted targets of q's
+rank-r out-edges and the sorted sources of its rank-r in-edges, and, for a
+DFA only, `delta[q][r]` is the one target or None (reading `delta` on an
+NFA raises NotDeterministic).  The views are shared: never mutate a row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
 from .alphabet import OrderedAlphabet
 from .errors import (
@@ -17,7 +26,6 @@ from .errors import (
     NotDeterministic,
     StateBlowupExceeded,
     WheelerkitError,
-    WordNotReadable,
 )
 
 
@@ -49,20 +57,36 @@ class Automaton:
 
     @cached_property
     def deterministic(self):
-        seen = set()
-        for (u, a, _) in self.edges:
-            if (u, a) in seen:
-                return False
-            seen.add((u, a))
-        return True
+        return len({(u, a) for (u, a, _) in self.edges}) == len(self.edges)
+
+    def _table(self, triples):
+        """Rows by state of sorted tuples, from (state, symbol, other) triples."""
+        pos = self.alphabet.position
+        rows = [[()] * len(self.alphabet) for _ in range(self.n)]
+        for (q, a), group in groupby(sorted(triples), key=itemgetter(0, 1)):
+            rows[q][pos[a]] = tuple(t for _, _, t in group)
+        return rows
 
     @cached_property
-    def out_map(self):
-        """(state, symbol) -> frozenset of targets."""
-        out = {}
+    def succ(self):
+        """succ[q][r]: sorted targets of q's edges labelled by the rank-r symbol."""
+        return self._table(self.edges)
+
+    @cached_property
+    def pred(self):
+        """pred[q][r]: sorted sources of the edges into q labelled by the rank-r symbol."""
+        return self._table((v, a, u) for (u, a, v) in self.edges)
+
+    @cached_property
+    def delta(self):
+        """delta[q][r]: target of q's edge labelled by the rank-r symbol, or None."""
+        if not self.deterministic:
+            raise NotDeterministic("the transition table wants a DFA")
+        pos = self.alphabet.position
+        rows = [[None] * len(self.alphabet) for _ in range(self.n)]
         for (u, a, v) in self.edges:
-            out.setdefault((u, a), set()).add(v)
-        return {k: frozenset(v) for k, v in out.items()}
+            rows[u][pos[a]] = v
+        return rows
 
     @cached_property
     def in_edges(self):
@@ -73,20 +97,10 @@ class Automaton:
         return {q: tuple(es) for q, es in inc.items()}
 
     def step(self, states, sym):
-        out = self.out_map
-        result = set()
-        for q in states:
-            result |= out.get((q, sym), frozenset())
-        return frozenset(result)
-
-    def dstep(self, q, sym):
-        """Deterministic single step; None when undefined."""
-        targets = self.out_map.get((q, sym))
-        if targets is None:
-            return None
-        if len(targets) != 1:
-            raise NotDeterministic(f"state {q} has {len(targets)} {sym}-successors")
-        return next(iter(targets))
+        r = self.alphabet.position.get(sym)
+        if r is None:
+            return frozenset()
+        return frozenset(t for q in states for t in self.succ[q][r])
 
 
 def run(a, w, start=None):
@@ -109,9 +123,11 @@ def accepts(a, w):
 
 def dfa_walk(d, w, start=None):
     """State reached by `w` in a DFA, or None when the walk dies."""
+    delta, pos = d.delta, d.alphabet.position
     q = d.initial if start is None else start
     for sym in w:
-        q = d.dstep(q, sym)
+        r = pos.get(sym)
+        q = None if r is None else delta[q][r]
         if q is None:
             return None
     return q
@@ -145,10 +161,10 @@ def shortest_entering_words(d, per_state=None, max_len=None, budget=None):
             words[q].append(w)
             if max_len is not None and len(w) >= max_len:
                 continue
-            for i, sym in enumerate(syms):
-                for t in d.out_map.get((q, sym), ()):
+            for i, targets in enumerate(d.succ[q]):
+                for t in targets:
                     if per_state is None or len(words[t]) < per_state:
-                        children[i].append((w + (sym,), t))
+                        children[i].append((w + (syms[i],), t))
         layer = [child for group in children for child in group]
     return {q: tuple(ws) for q, ws in words.items()}, False
 
@@ -244,28 +260,17 @@ def empty_language_automaton(alphabet):
 def trim_basic(a):
     """Restrict to states reachable from the initial state and co-reachable
     to a final state; state ids are compacted preserving their relative order."""
-    fwd = {a.initial}
-    frontier = [a.initial]
-    succ = {}
-    pred = {}
-    for (u, _, v) in a.edges:
-        succ.setdefault(u, set()).add(v)
-        pred.setdefault(v, set()).add(u)
-    while frontier:
-        q = frontier.pop()
-        for v in succ.get(q, ()):
-            if v not in fwd:
-                fwd.add(v)
-                frontier.append(v)
-    bwd = set(a.finals)
-    frontier = list(a.finals)
-    while frontier:
-        q = frontier.pop()
-        for u in pred.get(q, ()):
-            if u not in bwd:
-                bwd.add(u)
-                frontier.append(u)
-    keep = fwd & bwd
+    def closure(start, rows):
+        seen, frontier = set(start), list(start)
+        while frontier:
+            for row in rows[frontier.pop()]:
+                for p in row:
+                    if p not in seen:
+                        seen.add(p)
+                        frontier.append(p)
+        return seen
+
+    keep = closure({a.initial}, a.succ) & closure(a.finals, a.pred)
     if a.initial not in keep:
         return empty_language_automaton(a.alphabet)
     rename = {old: new for new, old in enumerate(sorted(keep))}
@@ -319,14 +324,12 @@ def minimize(d):
         return empty_language_automaton(d.alphabet)
 
     block = [0 if q in d.finals else 1 for q in range(d.n)]
-    syms = d.alphabet.symbols
+    delta = d.delta
     while True:
         sigs = {}
         new_block = [0] * d.n
         for q in range(d.n):
-            sig = (block[q],
-                   tuple(block[t] if (t := dfa_walk(d, (s,), start=q)) is not None else -1
-                         for s in syms))
+            sig = (block[q], tuple(-1 if t is None else block[t] for t in delta[q]))
             if sig not in sigs:
                 sigs[sig] = len(sigs)
             new_block[q] = sigs[sig]
@@ -348,8 +351,7 @@ def canonical_dfa(d):
     rename = {d.initial: 0}
     queue = [d.initial]
     for q in queue:  # breadth first: the loop reads what it appends
-        for sym in d.alphabet.symbols:
-            t = d.dstep(q, sym)
+        for t in d.delta[q]:
             if t is not None and t not in rename:
                 rename[t] = len(rename)
                 queue.append(t)
@@ -359,15 +361,6 @@ def canonical_dfa(d):
         d.alphabet, d.n, 0,
         frozenset(rename[q] for q in d.finals),
         frozenset((rename[u], s, rename[v]) for (u, s, v) in d.edges),
-    )
-
-
-def relabel_by_order(a, ranks):
-    """Rename states so that state id equals rank (order-preserving relabeling)."""
-    return Automaton(
-        a.alphabet, a.n, ranks[a.initial],
-        frozenset(ranks[q] for q in a.finals),
-        frozenset((ranks[u], s, ranks[v]) for (u, s, v) in a.edges),
     )
 
 
@@ -392,17 +385,6 @@ def language_equal(a, b):
     return ma == mb
 
 
-def right_context_equal(min_dfa, alpha, beta):
-    """Myhill-Nerode test on a minimum DFA: equal states iff equal right contexts."""
-    u = dfa_walk(min_dfa, alpha)
-    if u is None:
-        raise WordNotReadable(f"word {' '.join(alpha) or 'epsilon'} is not readable")
-    v = dfa_walk(min_dfa, beta)
-    if v is None:
-        raise WordNotReadable(f"word {' '.join(beta) or 'epsilon'} is not readable")
-    return u == v
-
-
 def count_readable_words(d, depth):
     """Number of distinct words of length <= depth readable in a DFA.
 
@@ -415,8 +397,7 @@ def count_readable_words(d, depth):
     for _ in range(depth):
         nxt = {}
         for q, c in counts.items():
-            for sym in d.alphabet.symbols:
-                t = d.dstep(q, sym)
+            for t in d.delta[q]:
                 if t is not None:
                     nxt[t] = nxt.get(t, 0) + c
         if not nxt:

@@ -10,6 +10,8 @@ separator (including timings) is free-form human text.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 import time
 
@@ -67,12 +69,24 @@ def _load_automaton(path):
     return parse_automaton(_read(path))
 
 
+def _out(text):
+    """Write to stdout; a closed stdout is an input error, like a bad -o path."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # point the descriptor at the null device, so that the flush at exit
+        # drops what is still buffered instead of failing again
+        with contextlib.suppress(OSError, ValueError):
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise _CliError(f"cannot write <stdout>: {exc.strerror}") from None
+
+
 def _emit(human, block):
-    for line in human:
-        print(line)
-    print("---")
-    for key, value in block:
-        print(f"{key}: {value}")
+    lines = [*human, "---", *(f"{key}: {value}" for key, value in block)]
+    _out("".join(line + "\n" for line in lines))
 
 
 def _word_text(w):
@@ -269,7 +283,7 @@ def cmd_export_dot(args):
         _emit([f"{args.file}: DOT written to {args.output}"],
               [("output", args.output)])
     else:
-        sys.stdout.write(text)
+        _out(text)
     return EXIT_POSITIVE
 
 

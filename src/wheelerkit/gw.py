@@ -193,25 +193,20 @@ def _witness_conflicts(min_dfa):
     or () when it ended at the initial state, a proper suffix of gamma.
     """
     init, syms = min_dfa.initial, min_dfa.alphabet.symbols
-    succ, pred = {}, {}
-    for (s, c, t) in min_dfa.edges:
-        succ[s, c] = t
-        pred.setdefault((t, c), []).append(s)
-    # statuses of a word equal to gamma so far at s, after gamma's next letter c
-    moves = {}
-    for s in range(min_dfa.n):
-        for c in syms:
-            same = pred.get((s, c), [])
-            moves[s, c] = same + [()] * (init in same) + [
-                ((x, c),) for x in syms if x != c and (s, x) in pred]
+    delta, pred = min_dfa.delta, min_dfa.pred
+    # moves[s][r]: statuses of a word equal to gamma so far at s, after
+    # gamma's next letter, the rank-r symbol c
+    moves = [[list(same) + [()] * (init in same)
+              + [((x, c),) for x, other in zip(syms, pred[s]) if x != c and other]
+              for c, same in zip(syms, pred[s])]
+             for s in range(min_dfa.n)]
     conflicts = set()
     for u in range(min_dfa.n):
         for v in range(u + 1, min_dfa.n):
             reach, stack = {(u, v)}, [(u, v)]
             while stack:
                 p, q = stack.pop()
-                for c in syms:
-                    nxt = (succ.get((p, c)), succ.get((q, c)))
+                for nxt in zip(delta[p], delta[q]):
                     if None not in nxt and nxt not in reach:
                         reach.add(nxt)
                         stack.append(nxt)
@@ -227,11 +222,11 @@ def _witness_conflicts(min_dfa):
                     if a and b:  # both after gamma: the flipped literals
                         conflicts.add(tuple((c, x) for (x, c) in a + b))
                     continue
-                for c in syms:
-                    steps_a = (a,) if isinstance(a, tuple) else moves[a, c]
-                    steps_b = (b,) if isinstance(b, tuple) else moves[b, c]
-                    for p2 in pred.get((p, c), ()):
-                        for q2 in pred.get((q, c), ()):
+                for r in range(len(syms)):
+                    steps_a = (a,) if isinstance(a, tuple) else moves[a][r]
+                    steps_b = (b,) if isinstance(b, tuple) else moves[b][r]
+                    for p2 in pred[p][r]:
+                        for q2 in pred[q][r]:
                             if (p2, q2) not in reach:
                                 continue
                             for a2 in steps_a:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .alphabet import is_suffix
-from .automaton import (determinize, dfa_walk, minimize, run, shortest_entering_words,
+from .automaton import (determinize, dfa_walk, minimize, shortest_entering_words,
                         trim_basic)
 from .errors import (
     ConstructionInconsistent,
@@ -129,65 +129,6 @@ def _side_conditions(alphabet, mu, nu, gamma):
     return (km < kg and kn < kg) or (kg < km and kg < kn)
 
 
-def dfa_witness_bound_ok(n, witness):
-    """Length bound for DFA witnesses: |mu|, |nu| <= |gamma| <= B(n)."""
-    mu, nu, gamma = witness.words()
-    return max(len(mu), len(nu)) <= len(gamma) <= gamma_length_bound(n)
-
-
-def nfa_witness_bound_ok(witness):
-    """NFA witnesses use the strict form |mu|, |nu| < |gamma|."""
-    mu, nu, gamma = witness.words()
-    return max(len(mu), len(nu)) < len(gamma)
-
-
-def check_witness_nfa(a, witness, ijcap=None, state_cap=DEFAULT_STATE_CAP):
-    """Validate a witness directly against an NFA.
-
-    The cycle condition is checked on the NFA itself; the inequivalence of
-    mu gamma^i and nu gamma^j for all i, j up to min(ijcap, 2^n) is checked
-    by determinizing once and walking the two pump orbits through the
-    minimum DFA (the orbits close after at most one state per DFA state).
-    """
-    mu, nu, gamma = witness.words()
-    n = a.n
-    cap = 2 ** n if ijcap is None else min(ijcap, 2 ** n)
-
-    ends_mu = run(a, mu)
-    ends_nu = run(a, nu)
-    if not ends_mu or not ends_nu:
-        return False
-
-    def cycling(states, wanted=None):
-        pool = states if wanted is None else (states & {wanted})
-        return any(p in run(a, gamma, start={p}) for p in pool)
-
-    p = witness.anchors[0] if witness.anchors else None
-    r = witness.anchors[1] if witness.anchors else None
-    if not cycling(ends_mu, p) or not cycling(ends_nu, r):
-        return False
-    if not _side_conditions(a.alphabet, mu, nu, gamma):
-        return False
-
-    min_dfa = minimize(determinize(trim_basic(a), state_cap=state_cap))
-
-    def orbit(word):
-        q = dfa_walk(min_dfa, word)
-        seen = []
-        for _ in range(cap + 1):
-            if q in seen or q is None:
-                break
-            seen.append(q)
-            q = dfa_walk(min_dfa, gamma, start=q)
-        return set(seen)
-
-    orbit_mu = orbit(mu)
-    orbit_nu = orbit(nu)
-    if not orbit_mu or not orbit_nu:
-        return False
-    return not (orbit_mu & orbit_nu)
-
-
 @dataclass
 class WitnessCandidates:
     """Order-independent raw material for the witness search.
@@ -208,15 +149,13 @@ def _simple_cycle_labels(min_dfa, u, v, max_len, budget):
     labels = set()
     truncated = False
     steps = 0
-    syms = min_dfa.alphabet.symbols
+    syms, delta = min_dfa.alphabet.symbols, min_dfa.delta
     start = (u, v)
     path = []
     on_path = {start}
 
     def moves(node):
-        for sym in syms:
-            a = dfa_walk(min_dfa, (sym,), start=node[0])
-            b = dfa_walk(min_dfa, (sym,), start=node[1])
+        for sym, a, b in zip(syms, delta[node[0]], delta[node[1]]):
             if a is not None and b is not None:
                 yield sym, (a, b)
 
@@ -331,12 +270,6 @@ def search_witness(min_dfa, candidates):
                 raise WheelerkitError(f"search produced an invalid witness: {best}")
             return best
     return None
-
-
-def find_witness(min_dfa, caps=None):
-    """Search for a witness against the minimum DFA, within the caps."""
-    caps = SearchCaps.default(min_dfa.n, caps)
-    return search_witness(min_dfa, collect_candidates(min_dfa, caps))
 
 
 def is_language_wheeler_dfa(d, method=METHOD_BOTH, caps=None,

@@ -93,13 +93,13 @@ def enumerate_prefixes(min_dfa, depth, word_cap=DEFAULT_WORD_CAP):
     shows more than `word_cap` words.
     """
     _check_enumerable(min_dfa, depth, word_cap)
+    syms, delta = min_dfa.alphabet.symbols, min_dfa.delta
     items = [((), min_dfa.initial)]
     frontier = [((), min_dfa.initial)]
     for _ in range(depth):
         nxt = []
         for w, q in frontier:
-            for sym in min_dfa.alphabet.symbols:
-                t = min_dfa.dstep(q, sym)
+            for sym, t in zip(syms, delta[q]):
                 if t is not None:
                     nxt.append((w + (sym,), t))
         if not nxt:
@@ -155,20 +155,14 @@ def colex_class_runs(min_dfa, depth, word_cap=DEFAULT_WORD_CAP):
     """
     _check_enumerable(min_dfa, depth, word_cap)
     n, init = min_dfa.n, min_dfa.initial
-    syms = min_dfa.alphabet.symbols
-    pos = min_dfa.alphabet.position
-    into = [[] for _ in range(n)]  # q -> (rank of c, p) per edge p -c-> q
-    succ = [[] for _ in range(n)]
-    for (p, c, q) in min_dfa.edges:
-        into[q].append((pos[c], p))
-        succ[p].append(q)
+    syms, delta, pred = min_dfa.alphabet.symbols, min_dfa.delta, min_dfa.pred
     far = n + depth  # beyond every distance and every remaining depth
     dist = [far] * n  # length of the shortest word reaching q
     dist[init] = 0
     queue = [init]
     for q in queue:  # breadth first: the loop reads what it appends
-        for t in succ[q]:
-            if dist[t] == far:
+        for t in delta[q]:
+            if t is not None and dist[t] == far:
                 dist[t] = dist[q] + 1
                 queue.append(t)
 
@@ -187,13 +181,13 @@ def colex_class_runs(min_dfa, depth, word_cap=DEFAULT_WORD_CAP):
     def children(tid):
         """(rank, child id, distance of the child's nearest state), by rank."""
         if kids[tid] is None:
-            groups = {}
+            groups = [[] for _ in syms]
             for q, t in maps[tid]:
-                for rank, p in into[q]:
-                    groups.setdefault(rank, []).append((p, t))
-            kids[tid] = [(rank, intern(tuple(sorted(groups[rank]))),
-                          min(dist[p] for p, _ in groups[rank]))
-                         for rank in sorted(groups)]
+                for group, sources in zip(groups, pred[q]):
+                    group.extend((p, t) for p in sources)
+            kids[tid] = [(rank, intern(tuple(sorted(group))),
+                          min(dist[p] for p, _ in group))
+                         for rank, group in enumerate(groups) if group]
         return kids[tid]
 
     memo = {}  # (id, remaining depth) -> runs of that subtree
@@ -260,16 +254,16 @@ def build_min_wdfa(min_dfa, depth=None, word_cap=DEFAULT_WORD_CAP):
     certifying = d >= certifying_depth(n)
     reps, rep_state, keys = colex_class_runs(min_dfa, d, word_cap)
     m = len(reps)
-    rank = min_dfa.alphabet.position
+    delta = min_dfa.delta
 
     finals = frozenset(j for j in range(m) if rep_state[j] in min_dfa.finals)
     edges = set()
     for j, rep in enumerate(reps):
-        for c in min_dfa.alphabet.symbols:
-            probe_state = min_dfa.dstep(rep_state[j], c)
+        for rank, c in enumerate(min_dfa.alphabet.symbols):
+            probe_state = delta[rep_state[j]][rank]
             if probe_state is None:
                 continue  # rep . c is not readable: no c-edge out of this state
-            last_c = (rank[c],)  # key prefix of the words ending in c
+            last_c = (rank,)  # key prefix of the words ending in c
             pk = last_c + keys[j]
             pos = bisect.bisect_left(keys, pk)
             if pos < m and keys[pos] == pk:

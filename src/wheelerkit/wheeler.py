@@ -151,32 +151,6 @@ def verify_wheeler(a, order):
     return None
 
 
-def recheck_violation(a, violation, order=None):
-    """Re-evaluate the named clause on the evidence alone; True means the
-    violation is self-evident (the clause indeed fails on those edges)."""
-    kind, ev = violation.kind, violation.evidence
-    if kind == INITIAL_IN_EDGE:
-        (edge,) = ev
-        return edge in a.edges and edge[2] == a.initial
-    if kind == INPUT_INCONSISTENT:
-        e1, e2 = ev
-        return e1 in a.edges and e2 in a.edges and e1[2] == e2[2] and e1[1] != e2[1]
-    if kind == CONDITION_I:
-        e1, e2 = ev
-        pos = a.alphabet.position
-        return (e1 in a.edges and e2 in a.edges
-                and pos[e1[1]] < pos[e2[1]]
-                and not order.ranks[e1[2]] < order.ranks[e2[2]])
-    if kind == CONDITION_II:
-        e1, e2 = ev
-        r = order.ranks
-        return (e1 in a.edges and e2 in a.edges and e1[1] == e2[1]
-                and r[e1[0]] < r[e2[0]] and not r[e1[2]] <= r[e2[2]])
-    if kind == ORDER_CONTRADICTION:
-        return True
-    return False
-
-
 def dfa_wheeler_order(d):
     """Wheeler order of a trimmed DFA, or the violation refuting every order.
 
@@ -402,52 +376,3 @@ def nfa_wheeler_search(a, budget=10 ** 6):
     if violation is not None:
         raise WheelerkitError(f"order search produced an invalid order: {violation}")
     return order
-
-
-@dataclass(frozen=True)
-class PathCoherenceCounterexample:
-    interval: tuple  # states of the starting interval, in order
-    word: tuple
-    image: tuple  # states reached, in order
-
-    def __str__(self):
-        return (f"interval {self.interval} under {' '.join(self.word) or 'epsilon'} "
-                f"gives non-interval {self.image}")
-
-
-def path_coherence_check(a, order, maxlen):
-    """Bounded check that every interval of states maps to an interval.
-
-    Explores images of every rank interval under all words up to `maxlen`,
-    pruning repeated reach sets; returns the first counterexample found.
-    """
-    ranks = order.ranks
-    seq = order.sequence()
-
-    def is_interval(states):
-        if not states:
-            return True
-        rs = sorted(ranks[q] for q in states)
-        return rs[-1] - rs[0] + 1 == len(rs)
-
-    for lo in range(a.n):
-        for hi in range(lo, a.n):
-            start = frozenset(seq[lo:hi + 1])
-            frontier = [(start, ())]  # breadth first: the loop reads what it appends
-            seen = {start}
-            for states, w in frontier:
-                if len(w) >= maxlen:
-                    continue
-                for sym in a.alphabet.symbols:
-                    image = a.step(states, sym)
-                    if not image:
-                        continue
-                    if not is_interval(image):
-                        return PathCoherenceCounterexample(
-                            tuple(sorted(start, key=lambda q: ranks[q])),
-                            w + (sym,),
-                            tuple(sorted(image, key=lambda q: ranks[q])))
-                    if image not in seen:
-                        seen.add(image)
-                        frontier.append((image, w + (sym,)))
-    return None

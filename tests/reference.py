@@ -1,0 +1,228 @@
+"""Reference definitions the tests check the library against.
+
+These are direct, unoptimised statements of the paper's definitions (co-lex
+comparison, primitivity, Myhill-Nerode equality, path coherence) and the
+validators the witness tests need.  Nothing in the library calls them, so
+they live with the tests rather than in the package.
+"""
+
+from dataclasses import dataclass
+from enum import Enum
+
+from wheelerkit import (
+    Automaton,
+    WheelerkitError,
+    WordNotReadable,
+    determinize,
+    dfa_walk,
+    minimize,
+    run,
+    trim_basic,
+)
+from wheelerkit.language import (
+    DEFAULT_STATE_CAP,
+    SearchCaps,
+    _side_conditions,
+    collect_candidates,
+    gamma_length_bound,
+    search_witness,
+)
+from wheelerkit.wheeler import (
+    CONDITION_I,
+    CONDITION_II,
+    INITIAL_IN_EDGE,
+    INPUT_INCONSISTENT,
+    ORDER_CONTRADICTION,
+)
+
+
+class ColexVerdict(Enum):
+    LESS = -1
+    EQUAL = 0
+    GREATER = 1
+
+
+def colex_compare(alphabet, a, b):
+    """Compare two words in the co-lexicographic order of `alphabet`.
+
+    a precedes b iff the reverse of a precedes the reverse of b
+    lexicographically; the empty word precedes every other word.
+    """
+    ka, kb = alphabet.colex_key(a), alphabet.colex_key(b)
+    if ka < kb:
+        return ColexVerdict.LESS
+    if ka > kb:
+        return ColexVerdict.GREATER
+    return ColexVerdict.EQUAL
+
+
+def is_primitive(w):
+    """True iff the nonempty word `w` is not a proper power of a shorter word."""
+    n = len(w)
+    if n == 0:
+        raise WheelerkitError("the empty word has no primitivity")
+    for d in range(1, n):
+        if n % d == 0 and w[:d] * (n // d) == w:
+            return False
+    return True
+
+
+def right_context_equal(min_dfa, alpha, beta):
+    """Myhill-Nerode test on a minimum DFA: equal states iff equal right contexts."""
+    u = dfa_walk(min_dfa, alpha)
+    if u is None:
+        raise WordNotReadable(f"word {' '.join(alpha) or 'epsilon'} is not readable")
+    v = dfa_walk(min_dfa, beta)
+    if v is None:
+        raise WordNotReadable(f"word {' '.join(beta) or 'epsilon'} is not readable")
+    return u == v
+
+
+def relabel_by_order(a, ranks):
+    """Rename states so that state id equals rank (order-preserving relabeling)."""
+    return Automaton(
+        a.alphabet, a.n, ranks[a.initial],
+        frozenset(ranks[q] for q in a.finals),
+        frozenset((ranks[u], s, ranks[v]) for (u, s, v) in a.edges),
+    )
+
+
+def recheck_violation(a, violation, order=None):
+    """Re-evaluate the named clause on the evidence alone; True means the
+    violation is self-evident (the clause indeed fails on those edges)."""
+    kind, ev = violation.kind, violation.evidence
+    if kind == INITIAL_IN_EDGE:
+        (edge,) = ev
+        return edge in a.edges and edge[2] == a.initial
+    if kind == INPUT_INCONSISTENT:
+        e1, e2 = ev
+        return e1 in a.edges and e2 in a.edges and e1[2] == e2[2] and e1[1] != e2[1]
+    if kind == CONDITION_I:
+        e1, e2 = ev
+        pos = a.alphabet.position
+        return (e1 in a.edges and e2 in a.edges
+                and pos[e1[1]] < pos[e2[1]]
+                and not order.ranks[e1[2]] < order.ranks[e2[2]])
+    if kind == CONDITION_II:
+        e1, e2 = ev
+        r = order.ranks
+        return (e1 in a.edges and e2 in a.edges and e1[1] == e2[1]
+                and r[e1[0]] < r[e2[0]] and not r[e1[2]] <= r[e2[2]])
+    if kind == ORDER_CONTRADICTION:
+        return True
+    return False
+
+
+@dataclass(frozen=True)
+class PathCoherenceCounterexample:
+    interval: tuple  # states of the starting interval, in order
+    word: tuple
+    image: tuple  # states reached, in order
+
+    def __str__(self):
+        return (f"interval {self.interval} under {' '.join(self.word) or 'epsilon'} "
+                f"gives non-interval {self.image}")
+
+
+def path_coherence_check(a, order, maxlen):
+    """Bounded check that every interval of states maps to an interval.
+
+    Explores images of every rank interval under all words up to `maxlen`,
+    pruning repeated reach sets; returns the first counterexample found.
+    """
+    ranks = order.ranks
+    seq = order.sequence()
+
+    def is_interval(states):
+        if not states:
+            return True
+        rs = sorted(ranks[q] for q in states)
+        return rs[-1] - rs[0] + 1 == len(rs)
+
+    for lo in range(a.n):
+        for hi in range(lo, a.n):
+            start = frozenset(seq[lo:hi + 1])
+            frontier = [(start, ())]  # breadth first: the loop reads what it appends
+            seen = {start}
+            for states, w in frontier:
+                if len(w) >= maxlen:
+                    continue
+                for sym in a.alphabet.symbols:
+                    image = a.step(states, sym)
+                    if not image:
+                        continue
+                    if not is_interval(image):
+                        return PathCoherenceCounterexample(
+                            tuple(sorted(start, key=lambda q: ranks[q])),
+                            w + (sym,),
+                            tuple(sorted(image, key=lambda q: ranks[q])))
+                    if image not in seen:
+                        seen.add(image)
+                        frontier.append((image, w + (sym,)))
+    return None
+
+
+def dfa_witness_bound_ok(n, witness):
+    """Length bound for DFA witnesses: |mu|, |nu| <= |gamma| <= B(n)."""
+    mu, nu, gamma = witness.words()
+    return max(len(mu), len(nu)) <= len(gamma) <= gamma_length_bound(n)
+
+
+def nfa_witness_bound_ok(witness):
+    """NFA witnesses use the strict form |mu|, |nu| < |gamma|."""
+    mu, nu, gamma = witness.words()
+    return max(len(mu), len(nu)) < len(gamma)
+
+
+def check_witness_nfa(a, witness, ijcap=None, state_cap=DEFAULT_STATE_CAP):
+    """Validate a witness directly against an NFA.
+
+    The cycle condition is checked on the NFA itself; the inequivalence of
+    mu gamma^i and nu gamma^j for all i, j up to min(ijcap, 2^n) is checked
+    by determinizing once and walking the two pump orbits through the
+    minimum DFA (the orbits close after at most one state per DFA state).
+    """
+    mu, nu, gamma = witness.words()
+    n = a.n
+    cap = 2 ** n if ijcap is None else min(ijcap, 2 ** n)
+
+    ends_mu = run(a, mu)
+    ends_nu = run(a, nu)
+    if not ends_mu or not ends_nu:
+        return False
+
+    def cycling(states, wanted=None):
+        pool = states if wanted is None else (states & {wanted})
+        return any(p in run(a, gamma, start={p}) for p in pool)
+
+    p = witness.anchors[0] if witness.anchors else None
+    r = witness.anchors[1] if witness.anchors else None
+    if not cycling(ends_mu, p) or not cycling(ends_nu, r):
+        return False
+    if not _side_conditions(a.alphabet, mu, nu, gamma):
+        return False
+
+    min_dfa = minimize(determinize(trim_basic(a), state_cap=state_cap))
+
+    def orbit(word):
+        q = dfa_walk(min_dfa, word)
+        seen = []
+        for _ in range(cap + 1):
+            if q in seen or q is None:
+                break
+            seen.append(q)
+            q = dfa_walk(min_dfa, gamma, start=q)
+        return set(seen)
+
+    orbit_mu = orbit(mu)
+    orbit_nu = orbit(nu)
+    if not orbit_mu or not orbit_nu:
+        return False
+    return not (orbit_mu & orbit_nu)
+
+
+def find_witness(min_dfa, caps=None):
+    """Search for a witness against the minimum DFA, within the caps."""
+    caps = SearchCaps.default(min_dfa.n, caps)
+    return search_witness(min_dfa, collect_candidates(min_dfa, caps))
+

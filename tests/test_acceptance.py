@@ -16,13 +16,11 @@ from wheelerkit import (
     check_witness_dfa,
     dfa_walk,
     dfa_wheeler_order,
-    dfa_witness_bound_ok,
     determinize,
     gamma_length_bound,
     gw_automaton_check,
     gw_language_check,
     is_language_wheeler_dfa,
-    is_primitive,
     language_equal,
     minimize,
     reduce_betweenness_to_dfa,
@@ -33,11 +31,11 @@ from wheelerkit import (
     verify_wheeler,
     with_alphabet_order,
 )
-from wheelerkit.automaton import relabel_by_order
 from wheelerkit.cli import main
 from wheelerkit.language import METHOD_CONSTRUCT, METHOD_WITNESS, NOT_WHEELER, WHEELER
 from wheelerkit.minwdfa import certifying_depth
 from wheelerkit.wheeler import CONDITION_II, WheelerOrder
+from reference import dfa_witness_bound_ok, is_primitive, relabel_by_order
 from corpus import (
     all_words,
     enumerate_simple_cycles,

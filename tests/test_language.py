@@ -8,20 +8,22 @@ from wheelerkit import (
     Witness,
     WheelerkitError,
     check_witness_dfa,
-    check_witness_nfa,
-    dfa_witness_bound_ok,
-    find_witness,
     gamma_length_bound,
     is_language_wheeler_dfa,
     is_language_wheeler_nfa,
     minimize,
-    nfa_witness_bound_ok,
     reduce_universality,
-    right_context_equal,
     with_alphabet_order,
     word,
 )
 from wheelerkit.language import METHOD_CONSTRUCT, METHOD_WITNESS, NOT_WHEELER, WHEELER
+from reference import (
+    check_witness_nfa,
+    dfa_witness_bound_ok,
+    find_witness,
+    nfa_witness_bound_ok,
+    right_context_equal,
+)
 from conftest import make
 from corpus import random_feasible_dfa
 

@@ -12,7 +12,6 @@ from wheelerkit import (
     InfeasibleEnumeration,
     OrderedAlphabet,
     build_min_wdfa,
-    colex_compare,
     determinize,
     dfa_walk,
     dfa_wheeler_order,
@@ -26,7 +25,6 @@ from wheelerkit import (
     word,
 )
 from wheelerkit.alphabet import INITIAL_MARK
-from wheelerkit.automaton import relabel_by_order
 from wheelerkit.minwdfa import (
     Wdfa,
     certifying_depth,
@@ -35,6 +33,7 @@ from wheelerkit.minwdfa import (
     enumerate_prefixes,
 )
 from wheelerkit.wheeler import WheelerOrder
+from reference import colex_compare, relabel_by_order
 from conftest import make
 from corpus import all_words, random_feasible_dfa, random_trimmed_nfa
 from test_acceptance import (

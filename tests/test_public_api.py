@@ -1,0 +1,47 @@
+"""The package's public names, pinned: a name joins or leaves the API only
+by an edit here."""
+
+import inspect
+
+import pytest
+
+import wheelerkit
+
+PUBLIC = [
+    "AlphabetMismatch", "AlphabetTooLarge", "Automaton", "BetweennessInstance",
+    "ConstructionInconsistent", "FormatError", "INITIAL_MARK", "InfeasibleEnumeration",
+    "InternalDisagreement", "LambdaMap", "LanguageVerdict", "NotDeterministic",
+    "OrderedAlphabet", "PreconditionViolated", "ReductionReport", "SearchBudgetExceeded",
+    "SearchCaps", "StateBlowupExceeded", "TooManyElements", "Wdfa", "WheelerOrder",
+    "WheelerViolation", "WheelerkitError", "Witness", "WordNotReadable", "accepts",
+    "build_min_wdfa", "certifying_depth", "check_witness_dfa", "determinize", "dfa_walk",
+    "dfa_wheeler_order", "gamma_length_bound", "gw_automaton_check", "gw_language_check",
+    "input_consistency", "is_language_wheeler_dfa", "is_language_wheeler_nfa", "is_suffix",
+    "language_equal", "minimize", "nfa_wheeler_search", "parse_automaton",
+    "parse_betweenness", "reduce_betweenness_to_dfa", "reduce_nfa_wheeler_to_gw",
+    "reduce_universality", "run", "serialize_automaton", "serialize_betweenness",
+    "solve_betweenness", "to_dot", "trim_basic", "verify_wheeler", "with_alphabet_order",
+    "word",
+]
+
+# Test-only references (now in tests/reference.py) and the minimum-WDFA
+# reference definitions, which stay in wheelerkit.minwdfa unexported.
+NOT_PUBLIC = [
+    "ColexVerdict", "Fingerprint", "PathCoherenceCounterexample", "PrefixList",
+    "check_witness_nfa", "colex_compare", "compute_fingerprint", "dfa_witness_bound_ok",
+    "enumerate_prefixes", "find_witness", "is_primitive", "nfa_witness_bound_ok",
+    "path_coherence_check", "recheck_violation", "relabel_by_order", "right_context_equal",
+]
+
+
+def test_public_names_are_pinned():
+    names = sorted(name for name, value in vars(wheelerkit).items()
+                   if not name.startswith("_") and not inspect.ismodule(value))
+    assert PUBLIC == sorted(PUBLIC)
+    assert names == PUBLIC
+
+
+@pytest.mark.parametrize("name", NOT_PUBLIC)
+def test_name_is_not_importable_from_the_package(name):
+    with pytest.raises(ImportError):
+        exec(f"from wheelerkit import {name}", {})

@@ -6,7 +6,6 @@ from wheelerkit import (
     BetweennessInstance,
     PreconditionViolated,
     accepts,
-    find_witness,
     gw_automaton_check,
     is_language_wheeler_nfa,
     minimize,
@@ -23,6 +22,7 @@ from wheelerkit import (
 from wheelerkit.language import NOT_WHEELER, WHEELER
 from wheelerkit.reductions import mint_symbols
 from wheelerkit.wheeler import WheelerOrder
+from reference import find_witness
 from conftest import make
 from corpus import all_words, random_trimmed_nfa
 

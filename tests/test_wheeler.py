@@ -9,9 +9,7 @@ from wheelerkit import (
     determinize,
     dfa_wheeler_order,
     input_consistency,
-    is_primitive,
     nfa_wheeler_search,
-    path_coherence_check,
     run,
     verify_wheeler,
 )
@@ -22,8 +20,8 @@ from wheelerkit.wheeler import (
     LambdaMap,
     WheelerOrder,
     WheelerViolation,
-    recheck_violation,
 )
+from reference import is_primitive, path_coherence_check, recheck_violation
 from corpus import (
     all_words,
     enumerate_simple_cycles,
