@@ -27,6 +27,7 @@ from .errors import (
     AlphabetTooLarge,
     ConstructionInconsistent,
     InfeasibleEnumeration,
+    InternalDisagreement,
     SearchBudgetExceeded,
     StateBlowupExceeded,
     TooManyElements,
@@ -357,6 +358,9 @@ def main(argv=None):
             AlphabetTooLarge, TooManyElements) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except InternalDisagreement as exc:  # a bug that a self-check caught
+        print(f"internal error: InternalDisagreement: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except WheelerkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -66,4 +66,5 @@ class ConstructionInconsistent(WheelerkitError):
 
 
 class InternalDisagreement(WheelerkitError):
-    """Two independent deciders returned contradictory verdicts (bug trap)."""
+    """A self-check failed: two deciders contradict each other, or a result
+    fails its own verification (bug trap)."""

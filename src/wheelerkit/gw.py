@@ -8,9 +8,9 @@ over order prefixes (`_first_order`), lexicographic in the listed order, and
 report the first order that works.  The search drops a prefix, with all of
 its completions, once it satisfies a conflict: a pair of "s before t"
 literals that refutes every order satisfying both.  The solver reads its
-conflicts off the triples before searching.  The language check reads its
-own off the minimum DFA, one walk per state pair; they refute exactly the
-orders that admit a witness, so it needs no per-order test.  The DFA check
+conflicts off the triples before searching.  The language check takes its
+own from `language.witness_conflicts`; they refute exactly the orders that
+admit a witness, so it needs no per-order test.  The DFA check
 learns a conflict from each order it rejects (a condition-(ii) inversion).
 So the per-order test runs only on orders no known conflict refutes, and
 the first one it accepts is the first accepted permutation.
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .automaton import minimize, shortest_entering_words, with_alphabet_order
 from .errors import AlphabetTooLarge, FormatError, TooManyElements, WheelerkitError
+from .language import witness_conflicts
 from .wheeler import (
     CONDITION_II,
     WheelerOrder,
@@ -177,67 +178,6 @@ def gw_automaton_check(a, max_sigma=DEFAULT_MAX_SIGMA, budget=10 ** 6):
     return _first_order(symbols, [], nfa_wheeler_under)
 
 
-def _witness_conflicts(min_dfa):
-    """Conflicts that refute exactly the orders under which the language of
-    `min_dfa` has a witness (mu, nu, gamma): mu and nu reach states u != v,
-    gamma cycles at both, is a suffix of neither, and sorts co-lex on the
-    same side of both.
-
-    Pumping gamma keeps every condition, so no length bound is needed.  Per
-    pair u < v, one walk reads gamma backwards from (u, v) in the pair
-    product, over pairs the forward walk from (u, v) reaches (so gamma can
-    always close into a cycle there), and reads mu and nu backwards from u
-    and v alongside it.  A side's status is its DFA state while the word
-    equals gamma so far; once decided, it is the literals under which the
-    word sorts before gamma: ((x, c),) when it reads x where gamma reads c,
-    or () when it ended at the initial state, a proper suffix of gamma.
-    """
-    init, syms = min_dfa.initial, min_dfa.alphabet.symbols
-    delta, pred = min_dfa.delta, min_dfa.pred
-    # moves[s][r]: statuses of a word equal to gamma so far at s, after
-    # gamma's next letter, the rank-r symbol c
-    moves = [[list(same) + [()] * (init in same)
-              + [((x, c),) for x, other in zip(syms, pred[s]) if x != c and other]
-              for c, same in zip(syms, pred[s])]
-             for s in range(min_dfa.n)]
-    conflicts = set()
-    for u in range(min_dfa.n):
-        for v in range(u + 1, min_dfa.n):
-            reach, stack = {(u, v)}, [(u, v)]
-            while stack:
-                p, q = stack.pop()
-                for nxt in zip(delta[p], delta[q]):
-                    if None not in nxt and nxt not in reach:
-                        reach.add(nxt)
-                        stack.append(nxt)
-            stack = [(u, v, a, b) for a in [u] + [()] * (u == init)
-                     for b in [v] + [()] * (v == init)]
-            seen = set(stack)
-            while stack:
-                p, q, a, b = stack.pop()
-                if isinstance(a, tuple) and isinstance(b, tuple):
-                    if not a + b:  # both proper suffixes: every order has a witness
-                        return {()}
-                    conflicts.add(a + b)
-                    if a and b:  # both after gamma: the flipped literals
-                        conflicts.add(tuple((c, x) for (x, c) in a + b))
-                    continue
-                for r in range(len(syms)):
-                    steps_a = (a,) if isinstance(a, tuple) else moves[a][r]
-                    steps_b = (b,) if isinstance(b, tuple) else moves[b][r]
-                    for p2 in pred[p][r]:
-                        for q2 in pred[q][r]:
-                            if (p2, q2) not in reach:
-                                continue
-                            for a2 in steps_a:
-                                for b2 in steps_b:
-                                    node = (p2, q2, a2, b2)
-                                    if node not in seen:
-                                        seen.add(node)
-                                        stack.append(node)
-    return conflicts
-
-
 def gw_language_check(d, max_sigma=DEFAULT_MAX_SIGMA):
     """First alphabet order under which the language of the DFA is Wheeler,
     or None.
@@ -250,7 +190,7 @@ def gw_language_check(d, max_sigma=DEFAULT_MAX_SIGMA):
     if not d.deterministic:
         raise WheelerkitError("gw_language_check wants a DFA")
     _check_sigma(d.alphabet, max_sigma)
-    return _first_order(d.alphabet.symbols, list(_witness_conflicts(minimize(d))),
+    return _first_order(d.alphabet.symbols, list(witness_conflicts(minimize(d))),
                         lambda order: True)
 
 

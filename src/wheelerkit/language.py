@@ -4,9 +4,10 @@ A language accepted by a DFA is not Wheeler exactly when there are words
 mu, nu, gamma such that mu and nu reach inequivalent states, gamma labels a
 cycle at both of those states, gamma is a suffix of neither, and gamma sits
 co-lexicographically on one side of both (with |mu|, |nu| <= |gamma| <=
-n^3 + 2n^2 + n + 2 for the minimum DFA size n).  Two independent deciders
-are provided: a capped search for such a witness, and construct-and-verify
-via the minimum-WDFA builder; `method="both"` cross-checks them.
+n^3 + 2n^2 + n + 2 for the minimum DFA size n).  An exact, cap-free walk
+(`witness_conflicts`) decides `method="both"`.  Two independent deciders
+back its answer: a capped search names a witness, and construct-and-verify
+via the minimum-WDFA builder gives the certificate.
 """
 
 from __future__ import annotations
@@ -267,77 +268,128 @@ def search_witness(min_dfa, candidates):
                     best = cand
         if best is not None:
             if not check_witness_dfa(min_dfa, best):
-                raise WheelerkitError(f"search produced an invalid witness: {best}")
+                raise InternalDisagreement(f"search produced an invalid witness: {best}")
             return best
     return None
+
+
+def witness_conflicts(min_dfa):
+    """Conflicts that refute exactly the orders under which the language of
+    `min_dfa` has a witness (mu, nu, gamma): mu and nu reach states u != v,
+    gamma cycles at both, is a suffix of neither, and sorts co-lex on the
+    same side of both.
+
+    Pumping gamma keeps every condition, so no length bound is needed.  Per
+    pair u < v, one walk reads gamma backwards from (u, v) in the pair
+    product, over pairs the forward walk from (u, v) reaches (so gamma can
+    always close into a cycle there), and reads mu and nu backwards from u
+    and v alongside it.  A side's status is its DFA state while the word
+    equals gamma so far; once decided, it is the literals under which the
+    word sorts before gamma: ((x, c),) when it reads x where gamma reads c,
+    or () when it ended at the initial state, a proper suffix of gamma.
+    """
+    init, syms = min_dfa.initial, min_dfa.alphabet.symbols
+    delta, pred = min_dfa.delta, min_dfa.pred
+    # moves[s][r]: statuses of a word equal to gamma so far at s, after
+    # gamma's next letter, the rank-r symbol c
+    moves = [[list(same) + [()] * (init in same)
+              + [((x, c),) for x, other in zip(syms, pred[s]) if x != c and other]
+              for c, same in zip(syms, pred[s])]
+             for s in range(min_dfa.n)]
+    conflicts = set()
+    for u in range(min_dfa.n):
+        for v in range(u + 1, min_dfa.n):
+            reach, stack = {(u, v)}, [(u, v)]
+            while stack:
+                p, q = stack.pop()
+                for nxt in zip(delta[p], delta[q]):
+                    if None not in nxt and nxt not in reach:
+                        reach.add(nxt)
+                        stack.append(nxt)
+            stack = [(u, v, a, b) for a in [u] + [()] * (u == init)
+                     for b in [v] + [()] * (v == init)]
+            seen = set(stack)
+            while stack:
+                p, q, a, b = stack.pop()
+                if isinstance(a, tuple) and isinstance(b, tuple):
+                    if not a + b:  # both proper suffixes: every order has a witness
+                        return {()}
+                    conflicts.add(a + b)
+                    if a and b:  # both after gamma: the flipped literals
+                        conflicts.add(tuple((c, x) for (x, c) in a + b))
+                    continue
+                for r in range(len(syms)):
+                    steps_a = (a,) if isinstance(a, tuple) else moves[a][r]
+                    steps_b = (b,) if isinstance(b, tuple) else moves[b][r]
+                    for p2 in pred[p][r]:
+                        for q2 in pred[q][r]:
+                            if (p2, q2) not in reach:
+                                continue
+                            for a2 in steps_a:
+                                for b2 in steps_b:
+                                    node = (p2, q2, a2, b2)
+                                    if node not in seen:
+                                        seen.add(node)
+                                        stack.append(node)
+    return conflicts
+
+
+def _by_witness(min_dfa, caps):
+    """`witness`: capped witness search.  A hit refutes; a miss certifies
+    only when the caps cover the length bound and nothing was truncated."""
+    candidates = collect_candidates(min_dfa, caps)
+    witness = search_witness(min_dfa, candidates)
+    if witness is not None:
+        return LanguageVerdict(NOT_WHEELER, witness=witness, caps=caps)
+    if caps.covers(min_dfa.n) and not candidates.truncated:
+        return LanguageVerdict(WHEELER, caps=caps)
+    return LanguageVerdict(BOUNDED_WHEELER, caps=caps, reason="no witness within caps")
+
+
+def _by_construction(min_dfa, caps, word_cap):
+    """`construct`: build and verify the minimum WDFA; an inconsistency
+    refutes.  InfeasibleEnumeration propagates past `word_cap`."""
+    try:
+        wdfa = build_min_wdfa(min_dfa, word_cap=word_cap)
+    except ConstructionInconsistent as exc:
+        return LanguageVerdict(NOT_WHEELER, caps=caps, reason=str(exc))
+    return LanguageVerdict(WHEELER, wdfa=wdfa, caps=caps)
 
 
 def is_language_wheeler_dfa(d, method=METHOD_BOTH, caps=None,
                             word_cap=DEFAULT_WORD_CAP):
     """Decide whether the language of a DFA is Wheeler.
 
-    `witness`: capped witness search; a hit is a proof of not-Wheeler, a miss
-    is a proof of Wheeler only when the caps cover the full length bound
-    (else the verdict is bounded-wheeler).
-    `construct`: build the minimum WDFA and verify it; success certifies
-    Wheeler, any construction inconsistency refutes it.
-    `both`: run the two and raise InternalDisagreement if they conflict.
+    `witness` and `construct` run one independent decider each.  `both`
+    takes the witness-conflict walk's answer under the DFA's order, then asks
+    the witness search for a witness (not Wheeler) and the construction for
+    the certificate (Wheeler, or what the capped search leaves open).  A
+    decided answer against the walk raises InternalDisagreement.
     """
     if not d.deterministic:
         raise NotDeterministic("language check wants a DFA (use the nfa variant)")
     min_dfa = minimize(d)
-    n = min_dfa.n
-    caps = SearchCaps.default(n, caps)
-
-    witness = covered = None
-    if method in (METHOD_WITNESS, METHOD_BOTH):
-        candidates = collect_candidates(min_dfa, caps)
-        witness = search_witness(min_dfa, candidates)
-        covered = caps.covers(n) and not candidates.truncated
-        del candidates  # free the entering words before the WDFA construction
-        if witness is not None and method == METHOD_WITNESS:
-            return LanguageVerdict(NOT_WHEELER, witness=witness, caps=caps)
-        if method == METHOD_WITNESS:
-            if covered:
-                return LanguageVerdict(WHEELER, caps=caps)
-            return LanguageVerdict(BOUNDED_WHEELER, caps=caps,
-                                   reason="no witness within caps")
-
-    built = None
-    refutation = infeasible = None
-    try:
-        built = build_min_wdfa(min_dfa, word_cap=word_cap)
-    except ConstructionInconsistent as exc:
-        refutation = str(exc)
-    except InfeasibleEnumeration as exc:
-        infeasible = exc
-
+    caps = SearchCaps.default(min_dfa.n, caps)
+    if method == METHOD_WITNESS:
+        return _by_witness(min_dfa, caps)
     if method == METHOD_CONSTRUCT:
-        if infeasible is not None:
-            raise infeasible
-        if built is not None:
-            return LanguageVerdict(WHEELER, wdfa=built, caps=caps)
-        return LanguageVerdict(NOT_WHEELER, caps=caps, reason=refutation)
-
-    if witness is not None:
-        if built is not None:
-            raise InternalDisagreement(
-                f"witness {witness} found but the WDFA construction succeeded")
-        return LanguageVerdict(NOT_WHEELER, witness=witness, caps=caps)
-    if built is not None:
-        return LanguageVerdict(WHEELER, wdfa=built, caps=caps)
-    if refutation is not None:
-        if covered:
-            raise InternalDisagreement(
-                f"WDFA construction failed ({refutation}) but the covered "
-                f"witness search found nothing")
-        return LanguageVerdict(NOT_WHEELER, caps=caps, reason=refutation)
-    # construction infeasible: fall back to the witness-search semantics
-    if covered:
-        return LanguageVerdict(WHEELER, caps=caps,
-                               reason="witness search exhausted; construction infeasible")
-    return LanguageVerdict(BOUNDED_WHEELER, caps=caps,
-                           reason="construction infeasible, caps not covering")
+        return _by_construction(min_dfa, caps, word_cap)
+    position = min_dfa.alphabet.position
+    walk = NOT_WHEELER if any(all(position[s] < position[t] for s, t in conflict)
+                              for conflict in witness_conflicts(min_dfa)) else WHEELER
+    verdict = _by_witness(min_dfa, caps) if walk == NOT_WHEELER else None
+    if verdict is None or verdict.status == BOUNDED_WHEELER:
+        try:
+            verdict = _by_construction(min_dfa, caps, word_cap)
+        except InfeasibleEnumeration:
+            return LanguageVerdict(walk, caps=caps, reason=(
+                "witness search exhausted" if walk == WHEELER
+                else "a witness exists, none within caps") + "; construction infeasible")
+    if verdict.status != walk:
+        decider = "construction" if verdict.wdfa or verdict.reason else "witness search"
+        raise InternalDisagreement(
+            f"the witness-conflict walk says {walk}, the {decider} says {verdict.status}")
+    return verdict
 
 
 def is_language_wheeler_nfa(a, method=METHOD_BOTH, caps=None,

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from .alphabet import INITIAL_MARK
 from .automaton import shortest_entering_words
-from .errors import NotDeterministic, SearchBudgetExceeded, WheelerkitError
+from .errors import (InternalDisagreement, NotDeterministic, SearchBudgetExceeded,
+                     WheelerkitError)
 
 INITIAL_IN_EDGE = "initial-has-in-edge"
 INPUT_INCONSISTENT = "input-inconsistent"
@@ -119,8 +120,8 @@ def verify_wheeler(a, order):
         block = by_label.get(sym)
         if not block:
             continue
-        lo = min(block, key=lambda e: ranks[e[2]])
-        hi = max(block, key=lambda e: ranks[e[2]])
+        lo = min(block, key=lambda e: (ranks[e[2]], ranks[e[0]]))
+        hi = max(block, key=lambda e: (ranks[e[2]], ranks[e[0]]))
         if prev_max is not None and ranks[prev_max[2]] >= ranks[lo[2]]:
             return WheelerViolation(
                 CONDITION_I, (prev_max, lo),
@@ -374,5 +375,5 @@ def nfa_wheeler_search(a, budget=10 ** 6):
     order = search.extract_order()
     violation = verify_wheeler(a, order)
     if violation is not None:
-        raise WheelerkitError(f"order search produced an invalid order: {violation}")
+        raise InternalDisagreement(f"order search produced an invalid order: {violation}")
     return order

@@ -19,12 +19,16 @@ from wheelerkit import (
     run,
     trim_basic,
 )
+from wheelerkit.errors import InfeasibleEnumeration
 from wheelerkit.language import (
     DEFAULT_STATE_CAP,
+    METHOD_CONSTRUCT,
+    METHOD_WITNESS,
     SearchCaps,
     _side_conditions,
     collect_candidates,
     gamma_length_bound,
+    is_language_wheeler_dfa,
     search_witness,
 )
 from wheelerkit.wheeler import (
@@ -226,3 +230,13 @@ def find_witness(min_dfa, caps=None):
     caps = SearchCaps.default(min_dfa.n, caps)
     return search_witness(min_dfa, collect_candidates(min_dfa, caps))
 
+
+def independent_language_status(d):
+    """Language status of the DFA `d` from the two independent deciders
+    alone: construct-and-verify, or the witness search where the construction
+    is infeasible.  It never runs the witness-conflict walk, so the walk and
+    `method="both"`, which follows the walk, can be checked against it."""
+    try:
+        return is_language_wheeler_dfa(d, method=METHOD_CONSTRUCT).status
+    except InfeasibleEnumeration:
+        return is_language_wheeler_dfa(d, method=METHOD_WITNESS).status

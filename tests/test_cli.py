@@ -1,16 +1,22 @@
 import contextlib
 import errno
 import io
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import tempfile
 import time
 
 from hypothesis import example, given, settings, strategies as st
 
-from wheelerkit import cli, parse_automaton, language_equal, serialize_automaton
+import wheelerkit
+from wheelerkit import (cli, language, minimize, parse_automaton, language_equal,
+                        serialize_automaton)
 from wheelerkit.cli import main
-from corpus import random_trie
+from wheelerkit.errors import ConstructionInconsistent
+from corpus import random_feasible_dfa, random_trie
 
 
 def run_cli(*argv):
@@ -305,6 +311,40 @@ def test_unexpected_exception_exits_internal_without_traceback(fixtures_dir, mon
     assert code == cli.EXIT_INTERNAL == 4
     assert err.getvalue() == "internal error: RuntimeError: boom\n"
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+def test_a_disagreement_between_deciders_exits_internal(fixtures_dir, monkeypatch):
+    def refuting(*args, **kwargs):
+        raise ConstructionInconsistent("forced")
+
+    # the walk finds the language Wheeler, the construction now refutes it
+    monkeypatch.setattr(language, "build_min_wdfa", refuting)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["check-lang", str(fixtures_dir / "mind4_wheeler.aut")])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert err.getvalue().startswith("internal error: InternalDisagreement: ")
+
+
+def test_min_wdfa_evidence_does_not_depend_on_the_hash_seed(tmp_path):
+    # a draw whose built automaton fails condition (i) on a label block with
+    # several edges into the same state: the evidence must not pick among
+    # them by set iteration order
+    rng = random.Random(20261019)
+    for _ in range(372):
+        d = random_feasible_dfa(rng)
+    path = _aut(tmp_path, serialize_automaton(minimize(d)))
+    src = str(pathlib.Path(wheelerkit.__file__).parent.parent)
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wheelerkit.cli", "min-wdfa", path,
+             "-o", str(tmp_path / "out.aut")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and "condition-i" in proc.stdout, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
 
 
 

@@ -30,13 +30,12 @@ from wheelerkit.gw import DEFAULT_MAX_SIGMA, _first_order, triple_satisfied
 from wheelerkit.automaton import shortest_entering_words
 from wheelerkit.language import (
     BOUNDED_WHEELER,
-    METHOD_BOTH,
     NOT_WHEELER,
     WHEELER,
     SearchCaps,
     collect_candidates,
-    is_language_wheeler_dfa,
     search_witness,
+    witness_conflicts,
 )
 from wheelerkit.wheeler import (
     WheelerOrder,
@@ -46,6 +45,7 @@ from wheelerkit.wheeler import (
     verify_wheeler,
 )
 from conftest import FIXTURES
+from reference import independent_language_status
 from corpus import (enumerate_small_betweenness, random_feasible_dfa, random_trimmed_nfa,
                     random_wheeler_nfa)
 
@@ -95,10 +95,10 @@ def oracle_gw_language(d, max_sigma=DEFAULT_MAX_SIGMA):
         candidate = with_alphabet_order(min_dfa, symbols)
         if search_witness(candidate, screen) is not None:
             continue
-        verdict = is_language_wheeler_dfa(candidate, method=METHOD_BOTH)
-        if verdict.status == WHEELER:
+        status = independent_language_status(candidate)
+        if status == WHEELER:
             return symbols
-        if verdict.status == BOUNDED_WHEELER:
+        if status == BOUNDED_WHEELER:
             raise InfeasibleEnumeration(
                 f"cannot certify the order {' '.join(symbols)} either way")
     return None
@@ -258,12 +258,12 @@ def test_witness_conflicts_refute_exactly_the_non_wheeler_orders():
     orders = refuted = 0
     for _ in range(150):
         m = minimize(random_feasible_dfa(rng, max_n=6, max_sigma=4))
-        conflicts = gw._witness_conflicts(m)
+        conflicts = witness_conflicts(m)
         for order in itertools.permutations(m.alphabet.symbols):
             position = {s: i for i, s in enumerate(order)}
             holds = any(all(position[s] < position[t] for s, t in c) for c in conflicts)
-            verdict = is_language_wheeler_dfa(with_alphabet_order(m, order))
-            assert holds == (verdict.status == NOT_WHEELER), (m, order)
+            status = independent_language_status(with_alphabet_order(m, order))
+            assert holds == (status == NOT_WHEELER), (m, order)
             orders += 1
             refuted += holds
     assert orders > 500 and 100 < refuted < orders - 100

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -8,24 +9,32 @@ from wheelerkit import (
     Witness,
     WheelerkitError,
     check_witness_dfa,
+    determinize,
     gamma_length_bound,
     is_language_wheeler_dfa,
     is_language_wheeler_nfa,
     minimize,
+    parse_automaton,
     reduce_universality,
+    trim_basic,
     with_alphabet_order,
     word,
 )
-from wheelerkit.language import METHOD_CONSTRUCT, METHOD_WITNESS, NOT_WHEELER, WHEELER
+from wheelerkit import language
+from wheelerkit.language import (BOUNDED_WHEELER, METHOD_CONSTRUCT, METHOD_WITNESS,
+                                 NOT_WHEELER, WHEELER)
 from reference import (
     check_witness_nfa,
     dfa_witness_bound_ok,
     find_witness,
+    independent_language_status,
     nfa_witness_bound_ok,
     right_context_equal,
 )
-from conftest import make
+from conftest import FIXTURES, make
 from corpus import random_feasible_dfa
+from test_acceptance import corpus_200
+from test_minwdfa import criterion_9_nfas
 
 
 def test_gamma_length_bound_values():
@@ -111,11 +120,19 @@ def test_language_decider_methods_agree_on_fixtures(mind4_wheeler, mind4_nonwhee
         assert vw.status == vc.status
 
 
-def test_bounded_verdict_under_tiny_caps(mind4_wheeler):
+def test_bounded_verdict_under_tiny_caps(mind4_wheeler, starfree_nongw):
     caps = SearchCaps(gamma_bound=2, cycle_len_cap=1, pump_cap=1, path_count_cap=10)
     v = is_language_wheeler_dfa(mind4_wheeler, method=METHOD_WITNESS, caps=caps)
     assert v.status == "bounded-wheeler"
     assert v.caps == caps
+    # `both` follows the walk where the search is capped and the construction
+    # infeasible
+    for a, status, reason in (
+            (mind4_wheeler, WHEELER, "witness search exhausted"),
+            (starfree_nongw, NOT_WHEELER, "a witness exists, none within caps")):
+        v = is_language_wheeler_dfa(a, caps=caps, word_cap=10)
+        assert (v.status, v.witness, v.wdfa) == (status, None, None)
+        assert v.reason == reason + "; construction infeasible"
 
 
 def test_nfa_language_decider(wdfa6, universal1, epsilon_d):
@@ -181,3 +198,29 @@ def test_witness_and_construct_agree_on_random_corpus():
             assert check_witness_dfa(m, vw.witness)
             assert dfa_witness_bound_ok(m.n, vw.witness)
     assert wheeler and not_wheeler  # the corpus exercises both verdicts
+
+
+def test_both_gives_the_independent_deciders_answers(universal1, epsilon_d, monkeypatch):
+    """`both` never answers bounded-wheeler; its status is the independent
+    deciders', its witness the witness search's and its certificate the
+    construction's.  The candidate collection, most of a witness search's
+    time, runs once per input; every search runs on its own."""
+    monkeypatch.setattr(language, "collect_candidates",
+                        functools.lru_cache(maxsize=1)(language.collect_candidates))
+    dfas = [determinize(trim_basic(parse_automaton(path.read_text())))
+            for path in sorted(FIXTURES.glob("*.aut"))]
+    dfas += corpus_200()
+    dfas += [determinize(reduce_universality(a).automaton)
+             for a in criterion_9_nfas(universal1, epsilon_d)]
+    rng = random.Random(1019)
+    dfas += [random_feasible_dfa(rng, max_n=4, max_sigma=2) for _ in range(1000)]
+    statuses = set()
+    for d in dfas:
+        v = is_language_wheeler_dfa(d)
+        assert v.status == independent_language_status(d) != BOUNDED_WHEELER, d
+        statuses.add(v.status)
+        if v.witness is not None:
+            assert v.witness == is_language_wheeler_dfa(d, method=METHOD_WITNESS).witness
+        if v.wdfa is not None:
+            assert v.wdfa == is_language_wheeler_dfa(d, method=METHOD_CONSTRUCT).wdfa
+    assert statuses == {WHEELER, NOT_WHEELER}

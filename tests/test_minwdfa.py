@@ -321,16 +321,20 @@ def test_fold_matches_the_oracle_on_cycle_dfas():
         assert_fold_matches_oracle(minimize(cycle_dfa(j)), CORPUS_WORD_CAP)
 
 
-def test_fold_matches_the_oracle_on_the_universality_gadgets(universal1, epsilon_d):
-    # the NFAs of acceptance criterion 9, drawn the same way
+def criterion_9_nfas(universal1, epsilon_d):
+    """The NFAs of acceptance criterion 9, drawn the same way."""
     samples = [universal1, epsilon_d]
     rng = random.Random(CORPUS_SEED + 9)
     while len(samples) < 42:
         a = random_trimmed_nfa(rng, max_n=3, max_sigma=2, density=0.35, force_eps=True)
         if len(a.alphabet) <= 2 and brute_universal_to_6(a) == exact_universal(a):
             samples.append(a)
+    return samples
+
+
+def test_fold_matches_the_oracle_on_the_universality_gadgets(universal1, epsilon_d):
     gadgets = []
-    for a in samples:
+    for a in criterion_9_nfas(universal1, epsilon_d):
         m = minimize(determinize(reduce_universality(a).automaton))
         if m not in gadgets:
             gadgets.append(m)
