@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .alphabet import is_suffix
-from .automaton import (determinize, dfa_walk, minimize, shortest_entering_words,
-                        trim_basic)
+from .automaton import determinize, dfa_walk, entering_layers, minimize, trim_basic
 from .errors import (
     ConstructionInconsistent,
     InfeasibleEnumeration,
@@ -135,14 +134,31 @@ class WitnessCandidates:
     """Order-independent raw material for the witness search.
 
     `gammas` maps each candidate cycle word to the anchor pairs it cycles at;
-    `entering` lists words reaching each state, shortest first.  `truncated`
-    records that some enumeration hit its work budget, in which case an empty
-    search result is not a coverage claim.
+    `entering` lists the words taken so far that reach each state, shortest
+    first.  They are taken lazily, one length layer at a time, by `walk`, an
+    `entering_layers` walk of the DFA the candidates were collected from
+    (None once it has ended); `layers` counts the layers taken whole.  `truncated` records that some
+    enumeration hit its work budget, in which case an empty search result is
+    not a coverage claim; a budget cut of the walk shows there once `take`
+    has run the walk to its end.
     """
 
     gammas: dict
     entering: dict
     truncated: bool
+    walk: object
+    layers: int = 0
+
+    def take(self, length=None):
+        """Take entering words until every one of length <= `length` (of
+        any length, when None) is taken or the walk has ended."""
+        while self.walk is not None and (length is None or self.layers <= length):
+            cut = next(self.walk, None)
+            if cut is False:
+                self.layers += 1
+            else:
+                self.truncated |= bool(cut)
+                self.walk = None
 
 
 def _simple_cycle_labels(min_dfa, u, v, max_len, budget):
@@ -188,11 +204,14 @@ def _simple_cycle_labels(min_dfa, u, v, max_len, budget):
 
 
 def collect_candidates(min_dfa, caps):
-    """Gather cycle-label candidates and entering words for the search.
+    """Gather cycle-label candidates, and the walk of entering words, for
+    the search.
 
     Any cycling word at an anchor pair projects to a closed walk in the
     product automaton; the candidates cover the simple product cycles, their
-    two-fold concatenations, and all their pumps within the caps.
+    two-fold concatenations, and all their pumps within the caps.  The
+    entering words, up to the longest gamma and `path_count_cap` taken, are
+    left to the search to take as far as it reads them.
     """
     n = min_dfa.n
     truncated = False
@@ -222,21 +241,34 @@ def collect_candidates(min_dfa, caps):
                 gammas.setdefault(gamma, set()).add(pair)
                 max_gamma = max(max_gamma, len(gamma))
 
-    entering, trunc = shortest_entering_words(
-        min_dfa, max_len=max_gamma, budget=caps.path_count_cap)
-    truncated |= trunc
-    return WitnessCandidates(gammas=gammas, entering=entering, truncated=truncated)
+    entering = {q: [] for q in range(n)}
+    walk = entering_layers(min_dfa, entering, max_len=max_gamma, budget=caps.path_count_cap)
+    return WitnessCandidates(gammas=gammas, entering=entering, truncated=truncated, walk=walk)
+
+
+def _gammas_in_order(candidates, key):
+    """The candidate gammas by (length, co-lex): each length bucket is
+    sorted, and its entering words taken, only when the search reaches it."""
+    buckets = {}
+    for gamma in candidates.gammas:
+        buckets.setdefault(len(gamma), []).append(gamma)
+    for length in sorted(buckets):
+        candidates.take(length)
+        yield from sorted(buckets[length], key=key)
 
 
 def search_witness(min_dfa, candidates):
     """Smallest witness over the candidates, by (|gamma|, gamma, mu, nu).
 
-    Evaluates the side conditions under `min_dfa`'s alphabet order, so the
-    same candidate set can be replayed against reordered copies.  A returned
-    witness always re-validates with check_witness_dfa.
+    Visits the gammas one length bucket at a time, sorting a bucket co-lex
+    only when it gets there, and takes entering words only up to the length
+    of the bucket at hand.  Evaluates the side conditions under `min_dfa`'s
+    alphabet order, so the same candidate set can be replayed against
+    reordered copies (its walk stays the one of the DFA it was collected
+    from).  A returned witness always re-validates with check_witness_dfa.
     """
     key = min_dfa.alphabet.colex_key
-    for gamma in sorted(candidates.gammas, key=lambda g: (len(g), key(g))):
+    for gamma in _gammas_in_order(candidates, key):
         kg = key(gamma)
         best = None
         for (u, v) in candidates.gammas[gamma]:
@@ -341,6 +373,7 @@ def _by_witness(min_dfa, caps):
     witness = search_witness(min_dfa, candidates)
     if witness is not None:
         return LanguageVerdict(NOT_WHEELER, witness=witness, caps=caps)
+    candidates.take()  # a budget cut of the walk shows only at its end
     if caps.covers(min_dfa.n) and not candidates.truncated:
         return LanguageVerdict(WHEELER, caps=caps)
     return LanguageVerdict(BOUNDED_WHEELER, caps=caps, reason="no witness within caps")

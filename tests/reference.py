@@ -19,13 +19,21 @@ from wheelerkit import (
     run,
     trim_basic,
 )
-from wheelerkit.errors import InfeasibleEnumeration
+from wheelerkit.alphabet import is_suffix
+from wheelerkit.automaton import shortest_entering_words
+from wheelerkit.errors import InfeasibleEnumeration, InternalDisagreement
 from wheelerkit.language import (
+    BOUNDED_WHEELER,
     DEFAULT_STATE_CAP,
     METHOD_CONSTRUCT,
     METHOD_WITNESS,
+    NOT_WHEELER,
+    WHEELER,
+    LanguageVerdict,
     SearchCaps,
+    Witness,
     _side_conditions,
+    check_witness_dfa,
     collect_candidates,
     gamma_length_bound,
     is_language_wheeler_dfa,
@@ -229,6 +237,63 @@ def find_witness(min_dfa, caps=None):
     """Search for a witness against the minimum DFA, within the caps."""
     caps = SearchCaps.default(min_dfa.n, caps)
     return search_witness(min_dfa, collect_candidates(min_dfa, caps))
+
+
+def eager_search_witness(min_dfa, gammas, entering):
+    """`search_witness` over every gamma in one sort by (|gamma|, co-lex),
+    reading `entering`, the words per state taken all at once."""
+    key = min_dfa.alphabet.colex_key
+    for gamma in sorted(gammas, key=lambda g: (len(g), key(g))):
+        kg = key(gamma)
+        best = None
+        for (u, v) in gammas[gamma]:
+            if dfa_walk(min_dfa, gamma, start=u) != u:
+                continue
+            if dfa_walk(min_dfa, gamma, start=v) != v:
+                continue
+            picks = {}
+            for state in (u, v):
+                less = greater = None
+                for w in entering[state]:
+                    if len(w) > len(gamma) or is_suffix(gamma, w):
+                        continue
+                    kw = key(w)
+                    if kw < kg and (less is None or kw < key(less)):
+                        less = w
+                    elif kw > kg and (greater is None or kw < key(greater)):
+                        greater = w
+                picks[state] = (less, greater)
+            for side in (0, 1):
+                wu, wv = picks[u][side], picks[v][side]
+                if wu is None or wv is None:
+                    continue
+                if key(wu) <= key(wv):
+                    cand = Witness(wu, wv, gamma, anchors=(u, v))
+                else:
+                    cand = Witness(wv, wu, gamma, anchors=(v, u))
+                if best is None or (key(cand.mu), key(cand.nu)) < (key(best.mu), key(best.nu)):
+                    best = cand
+        if best is not None:
+            if not check_witness_dfa(min_dfa, best):
+                raise InternalDisagreement(f"search produced an invalid witness: {best}")
+            return best
+    return None
+
+
+def eager_witness_verdict(min_dfa, caps):
+    """`method="witness"` on the minimum DFA with its entering words taken
+    eagerly: every word up to the longest gamma, within `path_count_cap`,
+    before any gamma is tested."""
+    candidates = collect_candidates(min_dfa, caps)
+    max_gamma = max(map(len, candidates.gammas), default=0)
+    entering, walk_cut = shortest_entering_words(
+        min_dfa, max_len=max_gamma, budget=caps.path_count_cap)
+    witness = eager_search_witness(min_dfa, candidates.gammas, entering)
+    if witness is not None:
+        return LanguageVerdict(NOT_WHEELER, witness=witness, caps=caps)
+    if caps.covers(min_dfa.n) and not (candidates.truncated or walk_cut):
+        return LanguageVerdict(WHEELER, caps=caps)
+    return LanguageVerdict(BOUNDED_WHEELER, caps=caps, reason="no witness within caps")
 
 
 def independent_language_status(d):

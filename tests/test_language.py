@@ -1,4 +1,3 @@
-import functools
 import random
 
 import pytest
@@ -20,7 +19,6 @@ from wheelerkit import (
     with_alphabet_order,
     word,
 )
-from wheelerkit import language
 from wheelerkit.language import (BOUNDED_WHEELER, METHOD_CONSTRUCT, METHOD_WITNESS,
                                  NOT_WHEELER, WHEELER)
 from reference import (
@@ -200,13 +198,10 @@ def test_witness_and_construct_agree_on_random_corpus():
     assert wheeler and not_wheeler  # the corpus exercises both verdicts
 
 
-def test_both_gives_the_independent_deciders_answers(universal1, epsilon_d, monkeypatch):
+def test_both_gives_the_independent_deciders_answers(universal1, epsilon_d):
     """`both` never answers bounded-wheeler; its status is the independent
     deciders', its witness the witness search's and its certificate the
-    construction's.  The candidate collection, most of a witness search's
-    time, runs once per input; every search runs on its own."""
-    monkeypatch.setattr(language, "collect_candidates",
-                        functools.lru_cache(maxsize=1)(language.collect_candidates))
+    construction's."""
     dfas = [determinize(trim_basic(parse_automaton(path.read_text())))
             for path in sorted(FIXTURES.glob("*.aut"))]
     dfas += corpus_200()
