@@ -140,6 +140,8 @@ def cmd_check_dfa(args):
 
 
 def cmd_check_nfa(args):
+    if args.budget < 0:
+        raise _CliError(f"--budget must be a node count of 0 or more, not {args.budget}")
     a = trim_basic(_load_automaton(args.file))
     result = wheeler.nfa_wheeler_search(a, budget=args.budget)
     if isinstance(result, wheeler.WheelerOrder):

@@ -11,8 +11,11 @@ co-lexicographic order of any word entering them.  For NFAs a stable-rank
 refinement first splits each in-label block into ranked classes, sorting
 states by the (min, max) rank of their in-edge sources until no class
 splits; every Wheeler order agrees with those ranks, and the fixpoint
-refutes every order when a class is inconsistent.  Existence is then decided
-by backtracking over the orderings inside each class.
+refutes every order when a class is inconsistent.  The refinement is
+Hopcroft-style: a split re-keys only the successors of its smaller parts,
+so a chain of n states costs about 2n re-keys, not n^2/2.  Existence
+is then decided by backtracking over the orderings inside each class, with
+propagation that pushes only pairs it does not know yet.
 """
 
 from __future__ import annotations
@@ -182,9 +185,12 @@ class _OrderSearch:
     in O(1) and never stored.  The search decides the relative order of
     same-class pairs.  Orienting u1 < u2 forces v1 < v2 for every pair of
     equally labeled edges with targets v1 != v2, and order relations are
-    kept transitively closed inside each class.  Implications are generated
-    from the out-edges on demand and decisions live on an explicit stack, so
-    memory is O(states + edges + oriented pairs).
+    kept transitively closed inside each class; propagation pushes only
+    pairs not yet known, so each node orients a pair or finds a
+    contradiction, bar pairs that another step orients while they wait on
+    the stack.  Implications are generated from the out-edges on demand and
+    decisions live on an explicit stack, so memory is O(states + edges +
+    oriented pairs).
     """
 
     def __init__(self, a, blocks, budget):
@@ -205,49 +211,98 @@ class _OrderSearch:
         self.above = [set() for _ in range(a.n)]  # class mates known to follow
         self.trail = []  # oriented pairs (p before q), oldest first
 
-    def interval(self, q):
-        """(min, max) rank of the sources of q's in-edges."""
-        ranks = [self.rank[e[0]] for e in self.in_edges[q]]
-        return (min(ranks), max(ranks)) if ranks else (-1, -1)
+    def count(self, nodes):
+        self.nodes += nodes
+        if self.nodes > self.budget:
+            raise SearchBudgetExceeded(f"order search passed {self.budget} nodes")
 
     def refine(self):
         """Split classes by source interval until none splits; False when
         the fixpoint shows that no Wheeler order exists.
 
         By condition (ii), a source of v in an earlier class than a source
-        of w puts v before w, so sorting a class by (min, max) source rank
-        gives an order every Wheeler order shares.  Singleton classes cannot
-        split; every other state counts one node per round.
+        of w puts v before w, so sorting a class by the (min, max) rank of
+        its states' sources gives an order every Wheeler order shares.  A
+        class's rank is its start position, so a split moves no other
+        class.  Hopcroft-style, a split keeps the class id for its largest
+        part and re-keys only the out-edge targets of the other parts: the
+        states that are not re-keyed had one key and still share one, as
+        their sources in the split class all stayed in the largest part.
+        The first step keys every state of a class of two or more; each
+        re-key of a state in such a class counts one node.  Re-keys run in
+        rounds: a state whose class still waits in this round joins it,
+        others wait for the next, so no state is re-keyed twice in a round
+        and no more rounds run than full rounds over every class would.
         """
-        while True:
-            split = []
-            for members in self.classes:
-                if len(members) == 1:
-                    split.append(members)
-                    continue
-                self.nodes += len(members)
-                if self.nodes > self.budget:
-                    raise SearchBudgetExceeded(f"order search passed {self.budget} nodes")
-                keyed = {}
-                for q in members:
-                    keyed.setdefault(self.interval(q), []).append(q)
-                split.extend(keyed[key] for key in sorted(keyed))
-            if len(split) == len(self.classes):
-                break
-            self.classes = split
-            for r, members in enumerate(split):
-                for q in members:
-                    self.rank[q] = r
+        cls = list(self.block_of)  # class id of each state
+        members = [set(states) for states in self.blocks]
+        start, pos = [], 0  # first position of each class, by id
+        for states in self.blocks:
+            start.append(pos)
+            pos += len(states)
+
+        def interval(q):
+            ranks = [start[cls[e[0]]] for e in self.in_edges[q]]
+            return (min(ranks), max(ranks)) if ranks else (-1, -1)
+
+        dirty = {}  # class id -> states to re-key, this round
+        later = {c: set(states) for c, states in enumerate(members) if len(states) > 1}
+        while dirty or later:
+            if not dirty:
+                dirty, later = later, {}
+            c, keyed = dirty.popitem()
+            self.count(len(keyed))
+            rest = members[c]
+            rest -= keyed
+            parts = {}
+            for q in keyed:
+                parts.setdefault(interval(q), set()).add(q)
+            if rest:  # they share one key; pop() finds one of them in O(1),
+                # where next(iter(rest)) would scan the slots emptied above
+                r = rest.pop()
+                rest.add(r)
+                key = interval(r)
+                rest.update(parts.get(key, ()))
+                parts[key] = rest
+            if len(parts) == 1:
+                members[c], = parts.values()
+                continue
+            order = [parts[key] for key in sorted(parts)]
+            largest = max(order, key=len)
+            pos = start[c]
+            for part in order:
+                if part is largest:
+                    members[c], start[c] = part, pos
+                else:
+                    for q in part:
+                        cls[q] = len(members)
+                    members.append(part)
+                    start.append(pos)
+                pos += len(part)
+            for part in order:
+                if part is not largest:
+                    for q in part:
+                        for targets in self.out[q].values():
+                            for v in targets:
+                                d = cls[v]
+                                if len(members[d]) > 1:
+                                    pending = dirty if d in dirty else later
+                                    pending.setdefault(d, set()).add(v)
+        self.classes = [sorted(members[c]) for c in sorted(range(len(members)),
+                                                            key=start.__getitem__)]
+        for r, states in enumerate(self.classes):
+            for q in states:
+                self.rank[q] = r
         # A class of two or more with lo < hi has each state before the other;
         # a class whose lo lies below an earlier class's hi (same block) has a
         # state before one of an earlier class.  Otherwise cross-class source
         # pairs only push cross-class target pairs, and those agree with rank.
         top = None  # (block, hi) of the previous class, the block's largest hi
-        for members in self.classes:
-            lo, hi = self.interval(members[0])
-            if len(members) > 1 and lo != hi:
+        for states in self.classes:
+            lo, hi = interval(states[0])
+            if len(states) > 1 and lo != hi:
                 return False
-            block = self.block_of[members[0]]
+            block = self.block_of[states[0]]
             if top is not None and top[0] == block and top[1] > lo:
                 return False
             top = (block, hi)
@@ -270,24 +325,29 @@ class _OrderSearch:
         return 1 if p in self.below[q] else -1 if q in self.below[p] else 0
 
     def orient(self, p, q):
-        """Record p before q; propagate; False on contradiction."""
+        """Record p before q; propagate; False on contradiction.
+
+        Only pairs not known when pushed go on the stack.  A known pair
+        stays known until `undo`, which runs after this returns, so the
+        pairs left out are exactly the ones that would be popped and
+        skipped, and the same pairs are oriented in the same order."""
         stack = [(p, q)]
         while stack:
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise SearchBudgetExceeded(f"order search passed {self.budget} nodes")
+            self.count(1)
             x, y = stack.pop()
             cur = self.before(x, y)
             if cur == 1:
                 continue
             if cur == -1:
                 return False
-            self.below[y].add(x)
-            self.above[x].add(y)
+            below_y, above_x = self.below[y], self.above[x]
+            below_y.add(x)
+            above_x.add(y)
             self.trail.append((x, y))
-            stack.extend(self.implied(x, y))
+            if self.out[x] and self.out[y]:
+                stack.extend(pair for pair in self.implied(x, y) if self.before(*pair) != 1)
             # close transitively: r < x gives r < y, and y < r gives x < r
-            below_x, above_y = self.below[x], self.above[y]
+            below_x, above_y = self.below[x] - below_y, self.above[y] - above_x
             for r in sorted(below_x | above_y):
                 if r in below_x:
                     stack.append((r, y))
@@ -348,18 +408,9 @@ class _OrderSearch:
         return WheelerOrder.from_sequence(states)
 
 
-def nfa_wheeler_search(a, budget=10 ** 6):
-    """Find some Wheeler order for an NFA, if one exists.
-
-    Returns a WheelerOrder, or an input-consistency WheelerViolation, or None
-    when the exhaustive search proves no order works.  Raises
-    SearchBudgetExceeded when the node budget (refinement re-keys plus
-    propagation steps) runs out first, and WheelerkitError when a state
-    other than the initial one has no in-edge.
-    """
-    lam = input_consistency(a)
-    if isinstance(lam, WheelerViolation):
-        return lam
+def label_blocks(a, lam):
+    """States grouped by in-label, blocks in alphabet order (the initial
+    state's first), each listed by id."""
     if None in lam.labels:
         raise WheelerkitError("nfa_wheeler_search wants a trimmed automaton")
     label_rank = {INITIAL_MARK: -1}
@@ -367,9 +418,23 @@ def nfa_wheeler_search(a, budget=10 ** 6):
     grouped = {}
     for q in range(a.n):
         grouped.setdefault(label_rank[lam[q]], []).append(q)
-    blocks = [sorted(grouped[r]) for r in sorted(grouped)]
+    return [sorted(grouped[r]) for r in sorted(grouped)]
 
-    search = _OrderSearch(a, blocks, budget)
+
+def nfa_wheeler_search(a, budget=10 ** 6):
+    """Find some Wheeler order for an NFA, if one exists.
+
+    Returns a WheelerOrder, or an input-consistency WheelerViolation, or None
+    when the exhaustive search proves no order works.  Raises
+    SearchBudgetExceeded when the node budget (refinement re-keys plus
+    propagation steps, one per pair pushed while not yet oriented) runs out
+    first, and WheelerkitError when a state other than the initial one has
+    no in-edge.
+    """
+    lam = input_consistency(a)
+    if isinstance(lam, WheelerViolation):
+        return lam
+    search = _OrderSearch(a, label_blocks(a, lam), budget)
     if not search.refine() or not search.solve():
         return None
     order = search.extract_order()

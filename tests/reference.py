@@ -1,8 +1,9 @@
 """Reference definitions the tests check the library against.
 
 These are direct, unoptimised statements of the paper's definitions (co-lex
-comparison, primitivity, Myhill-Nerode equality, path coherence) and the
-validators the witness tests need.  Nothing in the library calls them, so
+comparison, primitivity, Myhill-Nerode equality, path coherence), the
+validators the witness tests need, and the slow paths that faster library
+code replaced.  Nothing in the library calls them, so
 they live with the tests rather than in the package.
 """
 
@@ -21,7 +22,11 @@ from wheelerkit import (
 )
 from wheelerkit.alphabet import is_suffix
 from wheelerkit.automaton import shortest_entering_words
-from wheelerkit.errors import InfeasibleEnumeration, InternalDisagreement
+from wheelerkit.errors import (
+    InfeasibleEnumeration,
+    InternalDisagreement,
+    SearchBudgetExceeded,
+)
 from wheelerkit.language import (
     BOUNDED_WHEELER,
     DEFAULT_STATE_CAP,
@@ -45,6 +50,11 @@ from wheelerkit.wheeler import (
     INITIAL_IN_EDGE,
     INPUT_INCONSISTENT,
     ORDER_CONTRADICTION,
+    WheelerViolation,
+    _OrderSearch,
+    input_consistency,
+    label_blocks,
+    verify_wheeler,
 )
 
 
@@ -305,3 +315,85 @@ def independent_language_status(d):
         return is_language_wheeler_dfa(d, method=METHOD_CONSTRUCT).status
     except InfeasibleEnumeration:
         return is_language_wheeler_dfa(d, method=METHOD_WITNESS).status
+
+
+class RoundOrderSearch(_OrderSearch):
+    """The NFA order search with the refinement and propagation it had
+    before the Hopcroft-style `refine` and the filtered `orient`: full
+    refinement rounds, in which every state of a class of two or more is
+    re-keyed by dense class rank, and propagation that pushes every implied
+    and closure pair, known or not, and pays one node to pop each."""
+
+    def interval(self, q):
+        """(min, max) rank of the sources of q's in-edges."""
+        ranks = [self.rank[e[0]] for e in self.in_edges[q]]
+        return (min(ranks), max(ranks)) if ranks else (-1, -1)
+
+    def refine(self):
+        while True:
+            split = []
+            for members in self.classes:
+                if len(members) == 1:
+                    split.append(members)
+                    continue
+                self.count(len(members))
+                keyed = {}
+                for q in members:
+                    keyed.setdefault(self.interval(q), []).append(q)
+                split.extend(keyed[key] for key in sorted(keyed))
+            if len(split) == len(self.classes):
+                break
+            self.classes = split
+            for r, members in enumerate(split):
+                for q in members:
+                    self.rank[q] = r
+        top = None
+        for members in self.classes:
+            lo, hi = self.interval(members[0])
+            if len(members) > 1 and lo != hi:
+                return False
+            block = self.block_of[members[0]]
+            if top is not None and top[0] == block and top[1] > lo:
+                return False
+            top = (block, hi)
+        return True
+
+    def orient(self, p, q):
+        stack = [(p, q)]
+        while stack:
+            self.count(1)
+            x, y = stack.pop()
+            cur = self.before(x, y)
+            if cur == 1:
+                continue
+            if cur == -1:
+                return False
+            self.below[y].add(x)
+            self.above[x].add(y)
+            self.trail.append((x, y))
+            stack.extend(self.implied(x, y))
+            below_x, above_y = self.below[x], self.above[y]
+            for r in sorted(below_x | above_y):
+                if r in below_x:
+                    stack.append((r, y))
+                if r in above_y:
+                    stack.append((x, r))
+        return True
+
+
+def order_search(a, budget, search_class):
+    """`nfa_wheeler_search` run with `search_class` as its engine.  Returns
+    the outcome and the search (None for an input-consistency violation),
+    whose `nodes` is the work done, also when the budget ran out."""
+    lam = input_consistency(a)
+    if isinstance(lam, WheelerViolation):
+        return ("violation", lam.kind, lam.evidence, lam.detail), None
+    search = search_class(a, label_blocks(a, lam), budget)
+    try:
+        if not search.refine() or not search.solve():
+            return ("none",), search
+    except SearchBudgetExceeded as e:
+        return ("budget", str(e)), search
+    order = search.extract_order()
+    assert verify_wheeler(a, order) is None
+    return ("order", order.ranks), search

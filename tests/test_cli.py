@@ -289,6 +289,23 @@ def test_check_nfa_budget_bounds_a_two_thousand_leaf_star(tmp_path):
     assert time.perf_counter() - started < 10
 
 
+def test_check_nfa_decides_a_ten_thousand_state_path(tmp_path):
+    n = 10_000
+    text = (f"alphabet a\nstates {n}\ninitial 0\nfinal {n - 1}\n"
+            + "".join(f"edge {q} a {q + 1}\n" for q in range(n - 1)))
+    code, _, block, _ = run_cli("check-nfa", _aut(tmp_path, text))
+    assert code == 0 and block["verdict"] == "wheeler"
+    assert block[f"order.{n - 1}"] == str(n - 1)
+
+
+def test_check_nfa_negative_budget_is_an_input_error(fixtures_dir):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["check-nfa", str(fixtures_dir / "wdfa6.aut"), "--budget", "-1"])
+    assert code == 3
+    assert err.getvalue().startswith("error: --budget")
+
+
 def test_check_nfa_decides_a_five_hundred_state_trie(tmp_path):
     path = _aut(tmp_path, serialize_automaton(random_trie(random.Random(11), 500)))
     code, _, block, _ = run_cli("check-nfa", path)

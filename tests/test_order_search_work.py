@@ -1,0 +1,117 @@
+"""The NFA order search against `reference.RoundOrderSearch`, the full-round
+refinement and unfiltered propagation it replaced, and pins on the work it
+does: node counts, not times."""
+
+import random
+
+import pytest
+
+from wheelerkit import (
+    Automaton,
+    OrderedAlphabet,
+    SearchBudgetExceeded,
+    nfa_wheeler_search,
+    parse_automaton,
+    trim_basic,
+)
+from wheelerkit.wheeler import (
+    WheelerViolation,
+    _OrderSearch,
+    input_consistency,
+    label_blocks,
+)
+from corpus import random_trie, random_trimmed_nfa, random_wheeler_nfa
+from reference import RoundOrderSearch, order_search
+from test_acceptance import corpus_200
+from test_order_search import (
+    BUDGETS,
+    random_consistent_nfa,
+    shuffled,
+    staircase,
+    star,
+)
+
+
+def chain(n):
+    """The n-state path 0 -a-> 1 -a-> ... -a-> n-1."""
+    return Automaton(OrderedAlphabet(("a",)), n, 0, frozenset({n - 1}),
+                     frozenset((q, "a", q + 1) for q in range(n - 1)))
+
+
+def differential_inputs(fixtures_dir):
+    rng = random.Random(13)
+    inputs = [trim_basic(d) for d in corpus_200()]
+    inputs += [trim_basic(parse_automaton(path.read_text(encoding="utf-8")))
+               for path in sorted(fixtures_dir.glob("*.aut"))]
+    inputs += [star(k) for k in range(1, 61)] + [chain(n) for n in (2, 3, 40)]
+    inputs += [random_trie(rng, n) for n in (20, 50, 100, 200)]
+    inputs += [staircase(rng) for _ in range(200)]
+    inputs += [shuffled(rng, random_wheeler_nfa(rng, max_n=10)[0]) for _ in range(300)]
+    inputs += [random_consistent_nfa(rng) for _ in range(500)]
+    inputs += [random_trimmed_nfa(rng, max_n=7, max_sigma=3, density=0.3)
+               for _ in range(500)]
+    return inputs
+
+
+def refined(a, search_class):
+    search = search_class(a, label_blocks(a, input_consistency(a)), 10 ** 9)
+    return search.refine(), search.classes, search.rank, search.nodes
+
+
+def test_refinement_matches_the_round_refinement(fixtures_dir):
+    # Where the rounds refute, the classes may differ: parts whose source
+    # intervals nest sort one way under a coarse partition and the other
+    # way under a finer one, so the order of the splits shows.  The
+    # fixpoint check refutes nested intervals either way.
+    refuted = 0
+    for a in differential_inputs(fixtures_dir):
+        if isinstance(input_consistency(a), WheelerViolation):
+            continue
+        want, got = refined(a, RoundOrderSearch), refined(a, _OrderSearch)
+        if want[0]:
+            assert got[:3] == want[:3], a
+        else:
+            refuted += 1
+            assert not got[0], a
+        assert got[3] <= want[3], a
+    assert refuted
+
+
+def test_outcomes_match_the_reference_with_no_more_nodes(fixtures_dir):
+    traded = 0
+    for a in differential_inputs(fixtures_dir):
+        for budget in BUDGETS:
+            want, reference = order_search(a, budget, RoundOrderSearch)
+            got, search = order_search(a, budget, _OrderSearch)
+            if want[0] == "budget":
+                # either stops past the budget by the nodes it counted last
+                traded += got[0] != "budget"
+                continue
+            assert got == want, f"{a} at budget {budget}"
+            if reference is not None:
+                assert search.nodes <= reference.nodes, f"{a} at budget {budget}"
+    assert traded
+
+
+def nodes_to_decide(a):
+    """The least budget that decides a: nodes are counted, then checked."""
+    return order_search(a, 10 ** 9, _OrderSearch)[1].nodes
+
+
+@pytest.mark.parametrize("leaves", range(1, 61))
+def test_a_star_takes_its_leaves_plus_one_node_per_leaf_pair(leaves):
+    # the first refinement step keys every leaf; each leaf pair is then
+    # oriented by one node, and no closure step revisits a known pair.  A
+    # single leaf is a one-state class, never keyed.
+    nodes = leaves + leaves * (leaves - 1) // 2 if leaves > 1 else 0
+    assert nodes_to_decide(star(leaves)) == nodes
+    assert nfa_wheeler_search(star(leaves), budget=nodes).ranks == tuple(range(leaves + 1))
+    if nodes:
+        with pytest.raises(SearchBudgetExceeded):
+            nfa_wheeler_search(star(leaves), budget=nodes - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 100, 1000, 4000])
+def test_a_chain_refines_in_at_most_two_nodes_per_state(n):
+    # each split peels off one state and re-keys only its successor
+    assert nfa_wheeler_search(chain(n), budget=2 * n).ranks == tuple(range(n))
