@@ -3,8 +3,8 @@
 These are direct, unoptimised statements of the paper's definitions (co-lex
 comparison, primitivity, Myhill-Nerode equality, path coherence), the
 validators the witness tests need, and the slow paths that faster library
-code replaced.  Nothing in the library calls them, so
-they live with the tests rather than in the package.
+code replaced.  Nothing in the library calls them, so they live with the
+tests rather than in the package.
 """
 
 from dataclasses import dataclass
