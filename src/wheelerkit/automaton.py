@@ -9,7 +9,9 @@ per automaton and indexed by state and symbol rank (position in the
 alphabet): `succ[q][r]` and `pred[q][r]` are the sorted targets of q's
 rank-r out-edges and the sorted sources of its rank-r in-edges, and, for a
 DFA only, `delta[q][r]` is the one target or None (reading `delta` on an
-NFA raises NotDeterministic).  The views are shared: never mutate a row.
+NFA raises NotDeterministic).  These are the only per-state edge indexes,
+and they are shared: never mutate a row.  They have one row per declared
+state, so `trim_basic`, which runs on raw input, reads `edges` instead.
 """
 
 from __future__ import annotations
@@ -87,14 +89,6 @@ class Automaton:
         for (u, a, v) in self.edges:
             rows[u][pos[a]] = v
         return rows
-
-    @cached_property
-    def in_edges(self):
-        """state -> tuple of incoming edges, sorted."""
-        inc = {q: [] for q in range(self.n)}
-        for e in sorted(self.edges):
-            inc[e[2]].append(e)
-        return {q: tuple(es) for q, es in inc.items()}
 
     def step(self, states, sym):
         r = self.alphabet.position.get(sym)
@@ -274,28 +268,28 @@ def empty_language_automaton(alphabet):
 def trim_basic(a):
     """Restrict to states reachable from the initial state and co-reachable
     to a final state; state ids are compacted preserving their relative order."""
-    def closure(start, rows):
+    fwd, bwd = {}, {}  # keyed by the states with edges, not by declared ones
+    for (u, _, v) in a.edges:
+        fwd.setdefault(u, []).append(v)
+        bwd.setdefault(v, []).append(u)
+
+    def closure(start, adj):
         seen, frontier = set(start), list(start)
         while frontier:
-            for row in rows[frontier.pop()]:
-                for p in row:
-                    if p not in seen:
-                        seen.add(p)
-                        frontier.append(p)
+            for p in adj.get(frontier.pop(), ()):
+                if p not in seen:
+                    seen.add(p)
+                    frontier.append(p)
         return seen
 
-    keep = closure({a.initial}, a.succ) & closure(a.finals, a.pred)
+    keep = closure({a.initial}, fwd) & closure(a.finals, bwd)
     if a.initial not in keep:
         return empty_language_automaton(a.alphabet)
     rename = {old: new for new, old in enumerate(sorted(keep))}
-    return Automaton(
-        a.alphabet,
-        len(keep),
-        rename[a.initial],
-        frozenset(rename[q] for q in a.finals if q in keep),
-        frozenset((rename[u], s, rename[v]) for (u, s, v) in a.edges
-                  if u in keep and v in keep),
-    )
+    return Automaton(a.alphabet, len(keep), rename[a.initial],
+                     frozenset(rename[q] for q in a.finals if q in keep),
+                     frozenset((rename[u], s, rename[v]) for (u, s, v) in a.edges
+                               if u in keep and v in keep))
 
 
 def determinize(a, state_cap=None):

@@ -56,6 +56,8 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"cannot read {path}: {exc}") from None
 
 
 def _write(path, text):
@@ -200,6 +202,8 @@ def _write_wdfa(path, wdfa):
 
 
 def cmd_min_wdfa(args):
+    if args.word_cap < 0:
+        raise _CliError(f"--word-cap must be a word count of 0 or more, not {args.word_cap}")
     a = trim_basic(_load_automaton(args.file))
     if not a.deterministic:
         raise _CliError("input is nondeterministic; determinize it first")

@@ -79,7 +79,7 @@ def reduce_nfa_wheeler_to_gw(a):
 
     The output alphabet order is a_1 .. a_sigma, x_1 .. x_{sigma-1}, e, f.
     """
-    if a.in_edges[a.initial]:
+    if any(a.pred[a.initial]):
         raise PreconditionViolated("the initial state must have no in-edges")
     sigma = len(a.alphabet)
     x_names = [f"x{i}" for i in range(1, sigma)]

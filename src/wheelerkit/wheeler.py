@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .alphabet import INITIAL_MARK
 from .automaton import shortest_entering_words
@@ -74,24 +76,26 @@ class LambdaMap:
 
 def input_consistency(a):
     """All in-edges of a state must share one label, and none may enter the
-    initial state.  Returns the in-label map or the violation found first."""
+    initial state.  Returns the in-label map or the violation at the least
+    offending state, from its in-edges sorted by (source, symbol, target)."""
     labels = [None] * a.n
-    labels[a.initial] = INITIAL_MARK
-    for q in range(a.n):
-        for edge in a.in_edges[q]:
-            if q == a.initial:
-                return WheelerViolation(
-                    INITIAL_IN_EDGE, (edge,),
-                    f"edge {edge} enters the initial state")
-            sym = edge[1]
-            if labels[q] is None:
-                labels[q] = sym
-            elif labels[q] != sym:
-                first = next(e for e in a.in_edges[q] if e[1] == labels[q])
-                return WheelerViolation(
-                    INPUT_INCONSISTENT, (first, edge),
-                    f"state {q} has in-labels {labels[q]} and {sym}")
-    return LambdaMap(tuple(labels))
+    labels[a.initial] = INITIAL_MARK  # reserved: differs from every symbol
+    bad = a.n
+    for (_, sym, v) in a.edges:
+        if labels[v] is None:
+            labels[v] = sym
+        elif labels[v] != sym and v < bad:
+            bad = v
+    if bad == a.n:
+        return LambdaMap(tuple(labels))
+    first, *rest = sorted(e for e in a.edges if e[2] == bad)
+    if bad == a.initial:
+        return WheelerViolation(
+            INITIAL_IN_EDGE, (first,), f"edge {first} enters the initial state")
+    edge = next(e for e in rest if e[1] != first[1])
+    return WheelerViolation(
+        INPUT_INCONSISTENT, (first, edge),
+        f"state {bad} has in-labels {first[1]} and {edge[1]}")
 
 
 def verify_wheeler(a, order):
@@ -107,8 +111,8 @@ def verify_wheeler(a, order):
     if ranks[a.initial] != 0:
         return WheelerViolation(
             ORDER_CONTRADICTION, (a.initial,), "the initial state is not the minimum")
-    if a.in_edges[a.initial]:
-        edge = a.in_edges[a.initial][0]
+    edge = min((e for e in a.edges if e[2] == a.initial), default=None)
+    if edge is not None:
         return WheelerViolation(
             INITIAL_IN_EDGE, (edge,), f"edge {edge} enters the initial state")
 
@@ -138,20 +142,14 @@ def verify_wheeler(a, order):
             continue
         block.sort(key=lambda e: (ranks[e[0]], ranks[e[2]]))
         best = None  # edge with the largest target seen at a strictly smaller source
-        i = 0
-        while i < len(block):
-            j = i
-            while j < len(block) and block[j][0] == block[i][0]:
-                j += 1
-            group = block[i:j]
+        for _, group in groupby(block, key=itemgetter(0)):
+            group = list(group)
             if best is not None and ranks[best[2]] > ranks[group[0][2]]:
                 return WheelerViolation(
                     CONDITION_II, (best, group[0]),
                     f"{best} and {group[0]} share label {sym} but cross the order")
-            top = group[-1]
-            if best is None or ranks[top[2]] > ranks[best[2]]:
-                best = top
-            i = j
+            if best is None or ranks[group[-1][2]] > ranks[best[2]]:
+                best = group[-1]
     return None
 
 
@@ -188,9 +186,10 @@ class _OrderSearch:
     kept transitively closed inside each class; propagation pushes only
     pairs not yet known, so each node orients a pair or finds a
     contradiction, bar pairs that another step orients while they wait on
-    the stack.  Implications are generated from the out-edges on demand and
-    decisions live on an explicit stack, so memory is O(states + edges +
-    oriented pairs).
+    the stack.  The search keeps no edge map: it reads the automaton's
+    `succ` and `pred`, taking out-edges by symbol name, which fixes the
+    order of the work and so the node counts.  Decisions live on an
+    explicit stack, so memory is O(states + edges + oriented pairs).
     """
 
     def __init__(self, a, blocks, budget):
@@ -201,10 +200,9 @@ class _OrderSearch:
         for bi, states in enumerate(blocks):
             for q in states:
                 self.block_of[q] = bi
-        self.out = [{} for _ in range(a.n)]  # state -> symbol -> sorted targets
-        for (u, sym, v) in sorted(a.edges):
-            self.out[u].setdefault(sym, []).append(v)
-        self.in_edges = a.in_edges
+        self.succ, self.pred = a.succ, a.pred
+        self.sends = [any(row) for row in a.succ]  # has out-edges
+        self.by_name = sorted(range(len(a.alphabet)), key=a.alphabet.symbols.__getitem__)
         self.rank = list(self.block_of)  # class position; classes refine blocks
         self.classes = [list(states) for states in blocks]  # by rank, each by id
         self.below = [set() for _ in range(a.n)]  # class mates known to precede
@@ -242,7 +240,7 @@ class _OrderSearch:
             pos += len(states)
 
         def interval(q):
-            ranks = [start[cls[e[0]]] for e in self.in_edges[q]]
+            ranks = [start[cls[u]] for sources in self.pred[q] for u in sources]
             return (min(ranks), max(ranks)) if ranks else (-1, -1)
 
         dirty = {}  # class id -> states to re-key, this round
@@ -282,8 +280,8 @@ class _OrderSearch:
             for part in order:
                 if part is not largest:
                     for q in part:
-                        for targets in self.out[q].values():
-                            for v in targets:
+                        for r in self.by_name:
+                            for v in self.succ[q][r]:
                                 d = cls[v]
                                 if len(members[d]) > 1:
                                     pending = dirty if d in dirty else later
@@ -310,10 +308,10 @@ class _OrderSearch:
 
     def implied(self, p, q):
         """Target pairs (v, w) that p-before-q pushes into v-before-w."""
-        out_q = self.out[q]
-        for sym, vs in self.out[p].items():
-            for v in vs:
-                for w in out_q.get(sym, ()):
+        row_p, row_q = self.succ[p], self.succ[q]
+        for r in self.by_name:
+            for v in row_p[r]:
+                for w in row_q[r]:
                     if v != w:
                         yield v, w
 
@@ -344,7 +342,7 @@ class _OrderSearch:
             below_y.add(x)
             above_x.add(y)
             self.trail.append((x, y))
-            if self.out[x] and self.out[y]:
+            if self.sends[x] and self.sends[y]:
                 stack.extend(pair for pair in self.implied(x, y) if self.before(*pair) != 1)
             # close transitively: r < x gives r < y, and y < r gives x < r
             below_x, above_y = self.below[x] - below_y, self.above[y] - above_x

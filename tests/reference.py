@@ -20,7 +20,7 @@ from wheelerkit import (
     run,
     trim_basic,
 )
-from wheelerkit.alphabet import is_suffix
+from wheelerkit.alphabet import INITIAL_MARK, is_suffix
 from wheelerkit.automaton import shortest_entering_words
 from wheelerkit.errors import (
     InfeasibleEnumeration,
@@ -50,6 +50,7 @@ from wheelerkit.wheeler import (
     INITIAL_IN_EDGE,
     INPUT_INCONSISTENT,
     ORDER_CONTRADICTION,
+    LambdaMap,
     WheelerViolation,
     _OrderSearch,
     input_consistency,
@@ -317,6 +318,94 @@ def independent_language_status(d):
         return is_language_wheeler_dfa(d, method=METHOD_WITNESS).status
 
 
+def in_edges(a):
+    """state -> tuple of its incoming edges, sorted: the per-state index the
+    checks below read, which `input_consistency` and `verify_wheeler` replaced
+    with passes over `edges`."""
+    inc = {q: [] for q in range(a.n)}
+    for e in sorted(a.edges):
+        inc[e[2]].append(e)
+    return {q: tuple(es) for q, es in inc.items()}
+
+
+def indexed_input_consistency(a):
+    """`input_consistency` walking the states in id order over `in_edges`."""
+    inc = in_edges(a)
+    labels = [None] * a.n
+    labels[a.initial] = INITIAL_MARK
+    for q in range(a.n):
+        for edge in inc[q]:
+            if q == a.initial:
+                return WheelerViolation(
+                    INITIAL_IN_EDGE, (edge,),
+                    f"edge {edge} enters the initial state")
+            sym = edge[1]
+            if labels[q] is None:
+                labels[q] = sym
+            elif labels[q] != sym:
+                first = next(e for e in inc[q] if e[1] == labels[q])
+                return WheelerViolation(
+                    INPUT_INCONSISTENT, (first, edge),
+                    f"state {q} has in-labels {labels[q]} and {sym}")
+    return LambdaMap(tuple(labels))
+
+
+def indexed_verify_wheeler(a, order):
+    """`verify_wheeler` reading the initial state's in-edges from `in_edges`
+    and sweeping condition (ii) with two indexes."""
+    ranks = order.ranks
+    if len(ranks) != a.n or sorted(ranks) != list(range(a.n)):
+        return WheelerViolation(
+            ORDER_CONTRADICTION, tuple(ranks), "ranking is not a bijection onto 0..n-1")
+    if ranks[a.initial] != 0:
+        return WheelerViolation(
+            ORDER_CONTRADICTION, (a.initial,), "the initial state is not the minimum")
+    into_initial = in_edges(a)[a.initial]
+    if into_initial:
+        edge = into_initial[0]
+        return WheelerViolation(
+            INITIAL_IN_EDGE, (edge,), f"edge {edge} enters the initial state")
+
+    by_label = {}
+    for e in a.edges:
+        by_label.setdefault(e[1], []).append(e)
+
+    prev_max = None
+    for sym in a.alphabet.symbols:
+        block = by_label.get(sym)
+        if not block:
+            continue
+        lo = min(block, key=lambda e: (ranks[e[2]], ranks[e[0]]))
+        hi = max(block, key=lambda e: (ranks[e[2]], ranks[e[0]]))
+        if prev_max is not None and ranks[prev_max[2]] >= ranks[lo[2]]:
+            return WheelerViolation(
+                CONDITION_I, (prev_max, lo),
+                f"{prev_max} does not precede {lo} despite the smaller label")
+        prev_max = hi
+
+    for sym in a.alphabet.symbols:
+        block = by_label.get(sym)
+        if not block:
+            continue
+        block.sort(key=lambda e: (ranks[e[0]], ranks[e[2]]))
+        best = None
+        i = 0
+        while i < len(block):
+            j = i
+            while j < len(block) and block[j][0] == block[i][0]:
+                j += 1
+            group = block[i:j]
+            if best is not None and ranks[best[2]] > ranks[group[0][2]]:
+                return WheelerViolation(
+                    CONDITION_II, (best, group[0]),
+                    f"{best} and {group[0]} share label {sym} but cross the order")
+            top = group[-1]
+            if best is None or ranks[top[2]] > ranks[best[2]]:
+                best = top
+            i = j
+    return None
+
+
 class RoundOrderSearch(_OrderSearch):
     """The NFA order search with the refinement and propagation it had
     before the Hopcroft-style `refine` and the filtered `orient`: full
@@ -326,7 +415,7 @@ class RoundOrderSearch(_OrderSearch):
 
     def interval(self, q):
         """(min, max) rank of the sources of q's in-edges."""
-        ranks = [self.rank[e[0]] for e in self.in_edges[q]]
+        ranks = [self.rank[u] for sources in self.pred[q] for u in sources]
         return (min(ranks), max(ranks)) if ranks else (-1, -1)
 
     def refine(self):

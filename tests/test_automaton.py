@@ -1,5 +1,6 @@
 import heapq
 import random
+import tracemalloc
 
 import pytest
 
@@ -84,6 +85,20 @@ def test_trim_to_empty_language():
     a = make(("a",), 2, 0, {1}, set())  # the final state is unreachable
     t = trim_basic(a)
     assert t.n == 1 and not t.finals and not t.edges
+
+
+def test_trim_memory_does_not_grow_with_declared_states():
+    # one edge among 200,000 declared states: the per-state tables would
+    # take tens of megabytes
+    a = make(("a", "b"), 200_000, 0, {1}, {(0, "a", 1)})
+    tracemalloc.start()
+    try:
+        t = trim_basic(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.n == 2 and t.edges == frozenset({(0, "a", 1)})
+    assert peak < 1_000_000, f"trim_basic peaked at {peak} bytes"
 
 
 def test_run(wdfa6, mind4_nonwheeler):

@@ -306,6 +306,32 @@ def test_check_nfa_negative_budget_is_an_input_error(fixtures_dir):
     assert err.getvalue().startswith("error: --budget")
 
 
+def test_min_wdfa_negative_word_cap_is_an_input_error(fixtures_dir, tmp_path):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["min-wdfa", str(fixtures_dir / "mind4_wheeler.aut"),
+                     "-o", str(tmp_path / "out.aut"), "--word-cap", "-3"])
+    assert code == 3
+    assert err.getvalue().startswith("error: --word-cap")
+    assert not (tmp_path / "out.aut").exists()
+
+
+def test_non_utf8_input_is_an_input_error(fixtures_dir, tmp_path):
+    aut = tmp_path / "bad.aut"
+    aut.write_bytes((fixtures_dir / "wdfa6.aut").read_bytes() + b"# \xff\n")
+    bet = tmp_path / "bad.bet"
+    bet.write_bytes(b"\xffelements y1 y2 y3\ntriple y1 y2 y3\n")
+    out = str(tmp_path / "out.aut")
+    for path, argv in ((aut, ["check-dfa", str(aut)]), (aut, ["check-lang", str(aut)]),
+                       (bet, ["solve-betweenness", str(bet)]),
+                       (bet, ["reduce", "betweenness", str(bet), "-o", out])):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 3, argv
+        assert err.getvalue().startswith(f"error: cannot read {path}: "), err.getvalue()
+
+
 def test_check_nfa_decides_a_five_hundred_state_trie(tmp_path):
     path = _aut(tmp_path, serialize_automaton(random_trie(random.Random(11), 500)))
     code, _, block, _ = run_cli("check-nfa", path)
@@ -416,15 +442,20 @@ _COMMANDS = [["check-dfa"], ["check-nfa"], ["export-dot"], ["export-dot", "--whe
 
 
 @settings(max_examples=150)
-@given(text=st.one_of(st.text(max_size=60), _token_text, _small_automata()),
+@given(text=st.one_of(st.text(max_size=60), _token_text, _small_automata(),
+                      st.binary(max_size=60)),
        command=st.sampled_from(_COMMANDS))
+@example(text=b"alphabet a\nstates 1\ninitial 0\nfinal 0\n\xff\n", command=["check-dfa"])
 @example(text="alphabet a\nstates ²\ninitial 0\nfinal 0\n", command=["check-nfa"])
 @example(text="alphabet a\nstates 1\ninitial 0\nfinal 0\n",
          command=["check-lang", "--nfa", "--method", "witness", "--caps", "gamma=²"])
 def test_cli_exit_codes_fuzz(text, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "fuzz.aut"
-        path.write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
         code, _, _, raw = run_cli(command[0], str(path), *command[1:])
     assert code in (0, 1, 2, 3)
     if code == 1:

@@ -115,3 +115,16 @@ def test_a_star_takes_its_leaves_plus_one_node_per_leaf_pair(leaves):
 def test_a_chain_refines_in_at_most_two_nodes_per_state(n):
     # each split peels off one state and re-keys only its successor
     assert nfa_wheeler_search(chain(n), budget=2 * n).ranks == tuple(range(n))
+
+
+def test_out_edges_are_visited_by_symbol_name():
+    # under the header "b a" symbol rank and symbol name disagree; the
+    # search takes out-edges by name, and refutes this NFA in 9 nodes (by
+    # rank it would take 10)
+    edges = {(0, "b", 3), (0, "b", 4), (1, "a", 0), (1, "b", 3), (2, "b", 4),
+             (2, "b", 5), (3, "b", 1), (4, "b", 1), (4, "b", 3), (4, "b", 4),
+             (5, "a", 2), (5, "b", 1), (5, "b", 3), (6, "b", 5)}
+    a = Automaton(OrderedAlphabet(("b", "a")), 7, 6, frozenset({0, 2, 3, 5}),
+                  frozenset(edges))
+    assert order_search(a, 10 ** 6, _OrderSearch)[0] == ("none",)
+    assert nodes_to_decide(a) == 9

@@ -134,7 +134,7 @@ def test_gw_gadget_biconditional_small_scale():
     wheeler_seen = non_wheeler_seen = 0
     while wheeler_seen < 4 or non_wheeler_seen < 4:
         a = random_trimmed_nfa(rng, max_n=4, max_sigma=2, density=0.3)
-        if a.in_edges[a.initial] or len(a.alphabet) != 2:
+        if any(a.pred[a.initial]) or len(a.alphabet) != 2:
             continue
         is_wheeler = isinstance(nfa_wheeler_search(a), WheelerOrder)
         out = reduce_nfa_wheeler_to_gw(a).automaton
