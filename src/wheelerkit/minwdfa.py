@@ -80,8 +80,12 @@ def _check_enumerable(min_dfa, depth, word_cap):
         raise WheelerkitError("depth must be non-negative")
     total = count_readable_words(min_dfa, depth)
     if total > word_cap:
+        try:
+            count = str(total)
+        except ValueError:  # past Python's digit limit; 10^k < 2^(bits - 1) <= total
+            count = f"more than 10^{(total.bit_length() - 1) * 30102 // 100000}"
         raise InfeasibleEnumeration(
-            f"{total} readable words up to depth {depth} exceed the cap {word_cap}")
+            f"{count} readable words up to depth {depth} exceed the cap {word_cap}")
 
 
 def enumerate_prefixes(min_dfa, depth, word_cap=DEFAULT_WORD_CAP):

@@ -14,8 +14,9 @@ splits; every Wheeler order agrees with those ranks, and the fixpoint
 refutes every order when a class is inconsistent.  The refinement is
 Hopcroft-style: a split re-keys only the successors of its smaller parts,
 so a chain of n states costs about 2n re-keys, not n^2/2.  Existence
-is then decided by backtracking over the orderings inside each class, with
-propagation that pushes only pairs it does not know yet.
+is then decided by backtracking over the orderings inside each class, in
+one loop that scans, decides and propagates with no call or tuple per node,
+and propagation pushes only pairs it does not know yet.
 """
 
 from __future__ import annotations
@@ -189,7 +190,10 @@ class _OrderSearch:
     the stack.  The search keeps no edge map: it reads the automaton's
     `succ` and `pred`, taking out-edges by symbol name, which fixes the
     order of the work and so the node counts.  Decisions live on an
-    explicit stack, so memory is O(states + edges + oriented pairs).
+    explicit stack, so memory is O(states + edges + oriented pairs): an
+    oriented pair is two set entries and two slots of the flat trail, and
+    a decision two list slots and two ints, about 270 bytes per node at
+    the tracemalloc peak of a 2,000-leaf star that runs out of budget.
     """
 
     def __init__(self, a, blocks, budget):
@@ -207,7 +211,7 @@ class _OrderSearch:
         self.classes = [list(states) for states in blocks]  # by rank, each by id
         self.below = [set() for _ in range(a.n)]  # class mates known to precede
         self.above = [set() for _ in range(a.n)]  # class mates known to follow
-        self.trail = []  # oriented pairs (p before q), oldest first
+        self.trail = []  # oriented pairs flat (p0, q0, p1, q1, ...: p before q), oldest first
 
     def count(self, nodes):
         self.nodes += nodes
@@ -306,99 +310,112 @@ class _OrderSearch:
             top = (block, hi)
         return True
 
-    def implied(self, p, q):
-        """Target pairs (v, w) that p-before-q pushes into v-before-w."""
-        row_p, row_q = self.succ[p], self.succ[q]
-        for r in self.by_name:
-            for v in row_p[r]:
-                for w in row_q[r]:
-                    if v != w:
-                        yield v, w
-
-    def before(self, p, q):
-        """+1 if p is known to precede q, -1 if q precedes p, 0 if open."""
-        rp, rq = self.rank[p], self.rank[q]
-        if rp != rq:
-            return 1 if rp < rq else -1
-        return 1 if p in self.below[q] else -1 if q in self.below[p] else 0
-
-    def orient(self, p, q):
-        """Record p before q; propagate; False on contradiction.
-
-        Only pairs not known when pushed go on the stack.  A known pair
-        stays known until `undo`, which runs after this returns, so the
-        pairs left out are exactly the ones that would be popped and
-        skipped, and the same pairs are oriented in the same order."""
-        stack = [(p, q)]
-        while stack:
-            self.count(1)
-            x, y = stack.pop()
-            cur = self.before(x, y)
-            if cur == 1:
-                continue
-            if cur == -1:
-                return False
-            below_y, above_x = self.below[y], self.above[x]
-            below_y.add(x)
-            above_x.add(y)
-            self.trail.append((x, y))
-            if self.sends[x] and self.sends[y]:
-                stack.extend(pair for pair in self.implied(x, y) if self.before(*pair) != 1)
-            # close transitively: r < x gives r < y, and y < r gives x < r
-            below_x, above_y = self.below[x] - below_y, self.above[y] - above_x
-            for r in sorted(below_x | above_y):
-                if r in below_x:
-                    stack.append((r, y))
-                if r in above_y:
-                    stack.append((x, r))
-        return True
-
-    def undo(self, mark):
-        while len(self.trail) > mark:
-            p, q = self.trail.pop()
-            self.below[q].discard(p)
-            self.above[p].discard(q)
-
-    def next_open(self, bi, i, j):
-        """Position (bi, i, j) of the first unoriented pair p = blocks[bi][i]
-        before q = classes[rank[p]][j] at or after the given position, or
-        None.  Blocks and classes list states by id, so pairs come in the
-        order (block, id of p, id of q > id of p)."""
-        for bi in range(bi, len(self.blocks)):
-            states = self.blocks[bi]
-            for i in range(i, len(states)):
-                p = states[i]
-                mates = self.classes[self.rank[p]]
-                above, below = self.above[p], self.below[p]
-                for j in range(max(j, bisect_right(mates, p)), len(mates)):
-                    if mates[j] not in above and mates[j] not in below:
-                        return bi, i, j
-                j = 0
-            i = 0
-        return None
-
     def solve(self):
         """Depth first: orient the first open pair one way, then the other.
-        Pairs before a decision stay oriented below it, so scans resume there."""
-        decisions = []  # (trail mark, pair position, second way taken)
-        pos, flipped = self.next_open(0, 0, 0), False
-        while pos is not None:
-            bi, i, j = pos
-            p = self.blocks[bi][i]
-            q = self.classes[self.rank[p]][j]
-            mark = len(self.trail)
-            if self.orient(*((q, p) if flipped else (p, q))):
-                decisions.append((mark, pos, flipped))
-                pos, flipped = self.next_open(*pos), False
-                continue
-            self.undo(mark)
-            while flipped:  # both ways failed: back up to a decision with one left
-                if not decisions:
-                    return False
-                mark, pos, flipped = decisions.pop()
-                self.undo(mark)
-            flipped = True
-        return True
+
+        One loop over locals scans for the first open pair, decides it and
+        drains the propagation stack, one node per pair popped.  Pairs p
+        before q of class mates come in the order (block, id of p, id of
+        q > id of p); pairs before a decision stay oriented below it, so
+        scans resume there.  Orienting x before y pushes the implied target
+        pairs not known to be in that order, then the closure pairs.  The
+        stack holds pairs flat, and a decision is its trail mark and one
+        int packing its pair's position and whether its second way is
+        taken.  The node count lives in a local until the loop exits."""
+        order = [p for states in self.blocks for p in states]  # p in scan order
+        n = len(order)
+        classes, rank, below, above = self.classes, self.rank, self.below, self.above
+        succ, sends, by_name = self.succ, self.sends, self.by_name
+        budget, nodes, trail = self.budget, self.nodes, self.trail
+        stack, decisions = [], []
+        push, pop = stack.append, stack.pop
+        k = j = 0  # scan position: order[k] and its class mate at j (0: the first after it)
+        flipped = False
+        try:
+            while True:
+                if not flipped:  # scan for the first open pair at or after (k, j)
+                    while k < n:
+                        p = order[k]
+                        mates = classes[rank[p]]
+                        j = j or bisect_right(mates, p)
+                        above_p, below_p = above[p], below[p]
+                        while j < len(mates) and (mates[j] in above_p or mates[j] in below_p):
+                            j += 1
+                        if j < len(mates):
+                            q = mates[j]
+                            break
+                        k, j = k + 1, 0
+                    else:
+                        return True
+                mark = len(trail)
+                if flipped:
+                    push(q)
+                    push(p)
+                else:
+                    push(p)
+                    push(q)
+                while stack:
+                    nodes += 1
+                    if nodes > budget:
+                        raise SearchBudgetExceeded(f"order search passed {budget} nodes")
+                    y = pop()
+                    x = pop()
+                    rx, ry = rank[x], rank[y]
+                    if rx != ry:
+                        if rx < ry:
+                            continue
+                        break
+                    below_y, below_x = below[y], below[x]
+                    if x in below_y:
+                        continue
+                    if y in below_x:
+                        break
+                    above_x = above[x]
+                    below_y.add(x)
+                    above_x.add(y)
+                    trail.append(x)
+                    trail.append(y)
+                    if sends[x] and sends[y]:
+                        row_x, row_y = succ[x], succ[y]
+                        for r in by_name:
+                            for v in row_x[r]:
+                                for w in row_y[r]:
+                                    if v != w and (rank[v] > rank[w] or rank[v] == rank[w]
+                                                   and v not in below[w]):
+                                        push(v)
+                                        push(w)
+                    # close transitively: r < x gives r < y, and y < r gives x < r
+                    below_x = below_x and below_x - below_y
+                    above_y = above[y] and above[y] - above_x
+                    if below_x or above_y:
+                        for r in sorted(below_x | above_y):
+                            if r in below_x:
+                                push(r)
+                                push(y)
+                            if r in above_y:
+                                push(x)
+                                push(r)
+                else:
+                    decisions.append(mark)
+                    decisions.append((k * n + j) * 2 + flipped)
+                    flipped = False
+                    continue
+                stack.clear()
+                while flipped:  # both ways failed: back up to a decision with one left
+                    if not decisions:
+                        return False
+                    code = decisions.pop()
+                    mark = decisions.pop()
+                    (k, j), flipped = divmod(code >> 1, n), code & 1
+                for i in range(mark, len(trail), 2):
+                    below[trail[i + 1]].discard(trail[i])
+                    above[trail[i]].discard(trail[i + 1])
+                del trail[mark:]
+                p = order[k]
+                q = classes[rank[p]][j]
+                flipped = True
+        finally:
+            self.nodes = nodes
 
     def extract_order(self):
         states = sorted(range(len(self.rank)),

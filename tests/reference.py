@@ -7,6 +7,7 @@ code replaced.  Nothing in the library calls them, so they live with the
 tests rather than in the package.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -406,7 +407,108 @@ def indexed_verify_wheeler(a, order):
     return None
 
 
-class RoundOrderSearch(_OrderSearch):
+class PairOrderSearch(_OrderSearch):
+    """The NFA order search before its one decision loop: `solve` calls
+    `next_open` for the first open pair and `orient` to decide it, with a
+    trail of (p, q) tuples and (mark, position, flipped) decisions.  Same
+    refinement, same propagation rules, same node accounting."""
+
+    def implied(self, p, q):
+        """Target pairs (v, w) that p-before-q pushes into v-before-w."""
+        row_p, row_q = self.succ[p], self.succ[q]
+        for r in self.by_name:
+            for v in row_p[r]:
+                for w in row_q[r]:
+                    if v != w:
+                        yield v, w
+
+    def before(self, p, q):
+        """+1 if p is known to precede q, -1 if q precedes p, 0 if open."""
+        rp, rq = self.rank[p], self.rank[q]
+        if rp != rq:
+            return 1 if rp < rq else -1
+        return 1 if p in self.below[q] else -1 if q in self.below[p] else 0
+
+    def orient(self, p, q):
+        """Record p before q; propagate; False on contradiction.
+
+        Only pairs not known when pushed go on the stack.  A known pair
+        stays known until `undo`, which runs after this returns, so the
+        pairs left out are exactly the ones that would be popped and
+        skipped, and the same pairs are oriented in the same order."""
+        stack = [(p, q)]
+        while stack:
+            self.count(1)
+            x, y = stack.pop()
+            cur = self.before(x, y)
+            if cur == 1:
+                continue
+            if cur == -1:
+                return False
+            below_y, above_x = self.below[y], self.above[x]
+            below_y.add(x)
+            above_x.add(y)
+            self.trail.append((x, y))
+            if self.sends[x] and self.sends[y]:
+                stack.extend(pair for pair in self.implied(x, y) if self.before(*pair) != 1)
+            # close transitively: r < x gives r < y, and y < r gives x < r
+            below_x, above_y = self.below[x] - below_y, self.above[y] - above_x
+            for r in sorted(below_x | above_y):
+                if r in below_x:
+                    stack.append((r, y))
+                if r in above_y:
+                    stack.append((x, r))
+        return True
+
+    def undo(self, mark):
+        while len(self.trail) > mark:
+            p, q = self.trail.pop()
+            self.below[q].discard(p)
+            self.above[p].discard(q)
+
+    def next_open(self, bi, i, j):
+        """Position (bi, i, j) of the first unoriented pair p = blocks[bi][i]
+        before q = classes[rank[p]][j] at or after the given position, or
+        None.  Blocks and classes list states by id, so pairs come in the
+        order (block, id of p, id of q > id of p)."""
+        for bi in range(bi, len(self.blocks)):
+            states = self.blocks[bi]
+            for i in range(i, len(states)):
+                p = states[i]
+                mates = self.classes[self.rank[p]]
+                above, below = self.above[p], self.below[p]
+                for j in range(max(j, bisect_right(mates, p)), len(mates)):
+                    if mates[j] not in above and mates[j] not in below:
+                        return bi, i, j
+                j = 0
+            i = 0
+        return None
+
+    def solve(self):
+        """Depth first: orient the first open pair one way, then the other.
+        Pairs before a decision stay oriented below it, so scans resume there."""
+        decisions = []  # (trail mark, pair position, second way taken)
+        pos, flipped = self.next_open(0, 0, 0), False
+        while pos is not None:
+            bi, i, j = pos
+            p = self.blocks[bi][i]
+            q = self.classes[self.rank[p]][j]
+            mark = len(self.trail)
+            if self.orient(*((q, p) if flipped else (p, q))):
+                decisions.append((mark, pos, flipped))
+                pos, flipped = self.next_open(*pos), False
+                continue
+            self.undo(mark)
+            while flipped:  # both ways failed: back up to a decision with one left
+                if not decisions:
+                    return False
+                mark, pos, flipped = decisions.pop()
+                self.undo(mark)
+            flipped = True
+        return True
+
+
+class RoundOrderSearch(PairOrderSearch):
     """The NFA order search with the refinement and propagation it had
     before the Hopcroft-style `refine` and the filtered `orient`: full
     refinement rounds, in which every state of a class of two or more is

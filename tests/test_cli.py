@@ -289,6 +289,17 @@ def test_check_nfa_budget_bounds_a_two_thousand_leaf_star(tmp_path):
     assert time.perf_counter() - started < 10
 
 
+def test_check_nfa_default_budget_bounds_a_two_thousand_leaf_star(tmp_path):
+    # no --budget: the search stops at its default of 10^6 nodes, end to end
+    path = _aut(tmp_path, _star(2000))
+    src = str(pathlib.Path(wheelerkit.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "wheelerkit.cli", "check-nfa", path],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "infeasible: order search passed 1000000 nodes\n"
+
+
 def test_check_nfa_decides_a_ten_thousand_state_path(tmp_path):
     n = 10_000
     text = (f"alphabet a\nstates {n}\ninitial 0\nfinal {n - 1}\n"
@@ -313,6 +324,18 @@ def test_min_wdfa_negative_word_cap_is_an_input_error(fixtures_dir, tmp_path):
                      "-o", str(tmp_path / "out.aut"), "--word-cap", "-3"])
     assert code == 3
     assert err.getvalue().startswith("error: --word-cap")
+    assert not (tmp_path / "out.aut").exists()
+
+
+def test_min_wdfa_past_the_digit_limit_is_infeasible(tmp_path):
+    aut = tmp_path / "ab.aut"
+    aut.write_text("alphabet a b\nstates 1\ninitial 0\nfinal 0\nedge 0 a 0\nedge 0 b 0\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["min-wdfa", str(aut), "--depth", "15000", "-o", str(tmp_path / "out.aut")])
+    assert code == 2
+    assert err.getvalue() == ("infeasible: more than 10^4515 readable words up to depth 15000 "
+                              "exceed the cap 10000000\n")
     assert not (tmp_path / "out.aut").exists()
 
 

@@ -355,3 +355,14 @@ def test_build_min_wdfa_word_cap_message(mind4_wheeler):
         build_min_wdfa(m, word_cap=59)
     assert str(info.value) == "60 readable words up to depth 20 exceed the cap 59"
     assert build_min_wdfa(m, word_cap=60).automaton.n == 6
+
+
+def test_a_count_past_the_digit_limit_is_printed_as_a_bound():
+    # 2^15001 - 1 readable words: more digits than Python converts to a
+    # string, so the message gives the power of ten the count passes
+    a = make(("a", "b"), 1, 0, {0}, {(0, "a", 0), (0, "b", 0)})
+    with pytest.raises(InfeasibleEnumeration) as info:
+        enumerate_prefixes(a, 15000)
+    assert str(info.value) == ("more than 10^4515 readable words up to depth 15000 "
+                               "exceed the cap 10000000")
+    assert 10 ** 4515 < 2 ** 15001 - 1 < 10 ** 4516

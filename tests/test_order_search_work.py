@@ -1,8 +1,10 @@
-"""The NFA order search against `reference.RoundOrderSearch`, the full-round
-refinement and unfiltered propagation it replaced, and pins on the work it
-does: node counts, not times."""
+"""The NFA order search against `reference.PairOrderSearch`, the per-pair
+calls its decision loop replaced, and `reference.RoundOrderSearch`, the
+full-round refinement and unfiltered propagation before that, and pins on
+the work it does: node counts and memory per node, not times."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,7 +23,7 @@ from wheelerkit.wheeler import (
     label_blocks,
 )
 from corpus import random_trie, random_trimmed_nfa, random_wheeler_nfa
-from reference import RoundOrderSearch, order_search
+from reference import PairOrderSearch, RoundOrderSearch, order_search
 from test_acceptance import corpus_200
 from test_order_search import (
     BUDGETS,
@@ -91,6 +93,44 @@ def test_outcomes_match_the_reference_with_no_more_nodes(fixtures_dir):
             if reference is not None:
                 assert search.nodes <= reference.nodes, f"{a} at budget {budget}"
     assert traded
+
+
+def with_shuffled_header(rng, a):
+    """a with its alphabet order shuffled, so symbol rank and name disagree."""
+    symbols = tuple(rng.sample(a.alphabet.symbols, len(a.alphabet)))
+    return Automaton(OrderedAlphabet(symbols), a.n, a.initial, a.finals, a.edges)
+
+
+def test_the_decision_loop_matches_the_pair_search_node_for_node(fixtures_dir):
+    rng = random.Random(21)
+    inputs = differential_inputs(fixtures_dir)
+    for _ in range(800):
+        inputs.append(shuffled(rng, random_wheeler_nfa(rng, max_n=14)[0]))
+        inputs.append(with_shuffled_header(rng, random_consistent_nfa(rng)))
+    outcomes = set()
+    for a in inputs:
+        for budget in BUDGETS:
+            want, reference = order_search(a, budget, PairOrderSearch)
+            got, search = order_search(a, budget, _OrderSearch)
+            assert got == want, f"{a} at budget {budget}"
+            if reference is not None:
+                assert search.nodes == reference.nodes, f"{a} at budget {budget}"
+            outcomes.add(got[0])
+    assert outcomes == {"order", "none", "violation", "budget"}
+
+
+def test_memory_per_node_on_a_star_out_of_budget():
+    # a 2,000-leaf star orients one leaf pair per node; each leaves two set
+    # entries, two trail slots and, as a decision, two list slots and two ints
+    a = star(2000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchBudgetExceeded):
+            nfa_wheeler_search(a, budget=50_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300 * 50_000, f"{peak / 50_000:.0f} bytes per node"
 
 
 def nodes_to_decide(a):
