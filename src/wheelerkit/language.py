@@ -5,14 +5,16 @@ mu, nu, gamma such that mu and nu reach inequivalent states, gamma labels a
 cycle at both of those states, gamma is a suffix of neither, and gamma sits
 co-lexicographically on one side of both (with |mu|, |nu| <= |gamma| <=
 n^3 + 2n^2 + n + 2 for the minimum DFA size n).  An exact, cap-free walk
-(`witness_conflicts`) decides `method="both"`.  Two independent deciders
-back its answer: a capped search names a witness, and construct-and-verify
-via the minimum-WDFA builder gives the certificate.
+(`witness_conflicts`), one per cyclic component of the pair product, decides
+`method="both"`.  Two independent deciders back its answer: a capped search
+names a witness, and construct-and-verify gives the certificate.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
+from functools import cache
 
 from .alphabet import is_suffix
 from .automaton import determinize, dfa_walk, entering_layers, minimize, trim_basic
@@ -305,64 +307,112 @@ def search_witness(min_dfa, candidates):
     return None
 
 
+def _cyclic_components(size, roots, succ):
+    """Yield, as lists, the strongly connected components with a cycle among
+    the nodes 0..size-1 reached from `roots` (iterative Tarjan, 1972).  `succ(x)`
+    lists x's successors, again on the way back to x: the stack holds ints."""
+    num = array("q", bytes(8 * size))  # DFS number, then `done` once placed
+    low = array("q", bytes(8 * size))
+    done, count, path, stack = size + 1, 0, [], []  # stack: node, next edge, path length
+    for root in roots:
+        if num[root] or not (out := succ(root)):  # placed already, or a sink
+            num[root] = done
+            continue
+        count = num[root] = low[root] = count + 1
+        stack += (root, 0, len(path))
+        path.append(root)
+        while stack:  # out = succ(x)
+            x, lx = stack[-3], low[stack[-3]]
+            for i in range(stack[-2], len(out)):
+                y = out[i]
+                if not num[y]:
+                    if not (below := succ(y)):
+                        num[y] = done
+                        continue
+                    low[x], stack[-2] = lx, i + 1
+                    count = num[y] = low[y] = count + 1
+                    stack += (y, 0, len(path))
+                    path.append(y)
+                    out = below
+                    break
+                lx = min(lx, num[y])
+            else:
+                k = stack.pop()
+                del stack[-2:]
+                if lx == num[x]:
+                    comp, path[k:] = path[k:], []
+                    for y in comp:
+                        num[y] = done
+                    if len(comp) > 1 or x in out:
+                        yield comp
+                if stack:
+                    low[stack[-3]] = min(low[stack[-3]], lx)
+                    out = succ(stack[-3])
+
+
 def witness_conflicts(min_dfa):
     """Conflicts that refute exactly the orders under which the language of
     `min_dfa` has a witness (mu, nu, gamma): mu and nu reach states u != v,
     gamma cycles at both, is a suffix of neither, and sorts co-lex on the
     same side of both.
 
-    Pumping gamma keeps every condition, so no length bound is needed.  Per
-    pair u < v, one walk reads gamma backwards from (u, v) in the pair
-    product, over pairs the forward walk from (u, v) reaches (so gamma can
-    always close into a cycle there), and reads mu and nu backwards from u
-    and v alongside it.  A side's status is its DFA state while the word
-    equals gamma so far; once decided, it is the literals under which the
-    word sorts before gamma: ((x, c),) when it reads x where gamma reads c,
-    or () when it ended at the initial state, a proper suffix of gamma.
+    Pumping gamma keeps every condition, so no length bound is needed.  A
+    walk reads gamma backwards in the pair product, mu and nu alongside.  A
+    side's status is its DFA state while the word equals gamma so far; once
+    decided, it is the literals under which the word sorts before gamma:
+    ((x, c),) when it reads x where gamma reads c, or () when it ended at
+    the initial state, a proper suffix of gamma.  From (u, v), u < v, gamma
+    must close into a cycle, so the walk keeps to the strongly connected
+    component of (u, v): one walk per component, from its pairs u < v with
+    one `seen`, finds what a walk per pair finds.  A pair cycle is a cycle
+    on each side, so one pass over pairs of states on cycles finds them.
     """
     init, syms = min_dfa.initial, min_dfa.alphabet.symbols
     delta, pred = min_dfa.delta, min_dfa.pred
-    # moves[s][r]: statuses of a word equal to gamma so far at s, after
-    # gamma's next letter, the rank-r symbol c
-    moves = [[list(same) + [()] * (init in same)
-              + [((x, c),) for x, other in zip(syms, pred[s]) if x != c and other]
-              for c, same in zip(syms, pred[s])]
-             for s in range(min_dfa.n)]
+    outs = [[t for t in row if t is not None] for row in delta]
+    cyc = sorted(s for comp in _cyclic_components(min_dfa.n, range(min_dfa.n), outs.__getitem__)
+                 for s in comp)
+    if len(cyc) < 2:
+        return set()
+    m, index = len(cyc), {s: i for i, s in enumerate(cyc)}
+    rows = [[index.get(t) for t in delta[s]] for s in cyc]  # successors on a cycle
+    roots = (i * m + j for r in range(len(syms))  # pairs i < j sharing an out-symbol
+             for out in [[i for i in range(m) if rows[i][r] is not None]]
+             for i in out for j in out if i < j)
+
+    @cache  # statuses of a word equal to gamma so far at s, after gamma's
+    def step(s, r):  # next letter, the rank-r symbol c
+        c, same = syms[r], pred[s][r]
+        return list(same) + [()] * (init in same) + [
+            ((x, c),) for x, other in zip(syms, pred[s]) if x != c and other]
+
     conflicts = set()
-    for u in range(min_dfa.n):
-        for v in range(u + 1, min_dfa.n):
-            reach, stack = {(u, v)}, [(u, v)]
-            while stack:
-                p, q = stack.pop()
-                for nxt in zip(delta[p], delta[q]):
-                    if None not in nxt and nxt not in reach:
-                        reach.add(nxt)
-                        stack.append(nxt)
-            stack = [(u, v, a, b) for a in [u] + [()] * (u == init)
-                     for b in [v] + [()] * (v == init)]
-            seen = set(stack)
-            while stack:
-                p, q, a, b = stack.pop()
-                if isinstance(a, tuple) and isinstance(b, tuple):
-                    if not a + b:  # both proper suffixes: every order has a witness
-                        return {()}
-                    conflicts.add(a + b)
-                    if a and b:  # both after gamma: the flipped literals
-                        conflicts.add(tuple((c, x) for (x, c) in a + b))
-                    continue
-                for r in range(len(syms)):
-                    steps_a = (a,) if isinstance(a, tuple) else moves[a][r]
-                    steps_b = (b,) if isinstance(b, tuple) else moves[b][r]
-                    for p2 in pred[p][r]:
-                        for q2 in pred[q][r]:
-                            if (p2, q2) not in reach:
-                                continue
-                            for a2 in steps_a:
-                                for b2 in steps_b:
-                                    node = (p2, q2, a2, b2)
-                                    if node not in seen:
-                                        seen.add(node)
-                                        stack.append(node)
+    sources = {s: [(r, ps) for r, ps in enumerate(pred[s]) if ps] for s in cyc}
+    for comp in _cyclic_components(m * m, roots, lambda x: [
+            a * m + b for a, b in zip(rows[x // m], rows[x % m])
+            if a is not None and b is not None and a != b]):
+        pairs = {(cyc[x // m], cyc[x % m]) for x in comp}
+        stack = [(u, v, a, b) for u, v in sorted(pairs, reverse=True) if u < v
+                 for a in [u] + [()] * (u == init) for b in [v] + [()] * (v == init)]
+        seen = set(stack)
+        while stack:
+            p, q, a, b = stack.pop()
+            if isinstance(a, tuple) and isinstance(b, tuple):
+                if not a + b:  # both proper suffixes: every order has a witness
+                    return {()}
+                conflicts.add(a + b)
+                if a and b:  # both after gamma: the flipped literals
+                    conflicts.add(tuple((c, x) for (x, c) in a + b))
+                continue
+            for r, from_p in sources[p]:
+                if pred[q][r]:
+                    steps_a = (a,) if isinstance(a, tuple) else step(a, r)
+                    steps_b = (b,) if isinstance(b, tuple) else step(b, r)
+                    for node in [(p2, q2, a2, b2) for p2 in from_p for q2 in pred[q][r]
+                                 if (p2, q2) in pairs for a2 in steps_a for b2 in steps_b]:
+                        if node not in seen:
+                            seen.add(node)
+                            stack.append(node)
     return conflicts
 
 

@@ -308,6 +308,67 @@ def eager_witness_verdict(min_dfa, caps):
     return LanguageVerdict(BOUNDED_WHEELER, caps=caps, reason="no witness within caps")
 
 
+def pair_witness_conflicts(min_dfa):
+    """Conflicts that refute exactly the orders under which the language of
+    `min_dfa` has a witness (mu, nu, gamma): mu and nu reach states u != v,
+    gamma cycles at both, is a suffix of neither, and sorts co-lex on the
+    same side of both.
+
+    Pumping gamma keeps every condition, so no length bound is needed.  Per
+    pair u < v, one walk reads gamma backwards from (u, v) in the pair
+    product, over pairs the forward walk from (u, v) reaches (so gamma can
+    always close into a cycle there), and reads mu and nu backwards from u
+    and v alongside it.  A side's status is its DFA state while the word
+    equals gamma so far; once decided, it is the literals under which the
+    word sorts before gamma: ((x, c),) when it reads x where gamma reads c,
+    or () when it ended at the initial state, a proper suffix of gamma.
+    """
+    init, syms = min_dfa.initial, min_dfa.alphabet.symbols
+    delta, pred = min_dfa.delta, min_dfa.pred
+    # moves[s][r]: statuses of a word equal to gamma so far at s, after
+    # gamma's next letter, the rank-r symbol c
+    moves = [[list(same) + [()] * (init in same)
+              + [((x, c),) for x, other in zip(syms, pred[s]) if x != c and other]
+              for c, same in zip(syms, pred[s])]
+             for s in range(min_dfa.n)]
+    conflicts = set()
+    for u in range(min_dfa.n):
+        for v in range(u + 1, min_dfa.n):
+            reach, stack = {(u, v)}, [(u, v)]
+            while stack:
+                p, q = stack.pop()
+                for nxt in zip(delta[p], delta[q]):
+                    if None not in nxt and nxt not in reach:
+                        reach.add(nxt)
+                        stack.append(nxt)
+            stack = [(u, v, a, b) for a in [u] + [()] * (u == init)
+                     for b in [v] + [()] * (v == init)]
+            seen = set(stack)
+            while stack:
+                p, q, a, b = stack.pop()
+                if isinstance(a, tuple) and isinstance(b, tuple):
+                    if not a + b:  # both proper suffixes: every order has a witness
+                        return {()}
+                    conflicts.add(a + b)
+                    if a and b:  # both after gamma: the flipped literals
+                        conflicts.add(tuple((c, x) for (x, c) in a + b))
+                    continue
+                for r in range(len(syms)):
+                    steps_a = (a,) if isinstance(a, tuple) else moves[a][r]
+                    steps_b = (b,) if isinstance(b, tuple) else moves[b][r]
+                    for p2 in pred[p][r]:
+                        for q2 in pred[q][r]:
+                            if (p2, q2) not in reach:
+                                continue
+                            for a2 in steps_a:
+                                for b2 in steps_b:
+                                    node = (p2, q2, a2, b2)
+                                    if node not in seen:
+                                        seen.add(node)
+                                        stack.append(node)
+    return conflicts
+
+
 def independent_language_status(d):
     """Language status of the DFA `d` from the two independent deciders
     alone: construct-and-verify, or the witness search where the construction
