@@ -38,7 +38,6 @@ from .errors import (
     StateBlowupExceeded,
     TooManyElements,
     WheelerkitError,
-    WordNotReadable,
 )
 from .gw import (
     BetweennessInstance,

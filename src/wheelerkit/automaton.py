@@ -324,12 +324,13 @@ def minimize(d):
     """Minimum DFA by partition refinement, in canonical BFS numbering.
 
     Two words reach the same output state iff they have equal right contexts.
+    It numbers the Moore blocks itself, in the order a breadth-first walk
+    from the initial block, in alphabet order, first reaches them, and builds
+    the result directly; the one-state empty DFA needs no special case.
     """
     d = trim_basic(d)
     if not d.deterministic:
         raise NotDeterministic("minimize wants a deterministic automaton")
-    if not d.finals:
-        return empty_language_automaton(d.alphabet)
 
     block = [0 if q in d.finals else 1 for q in range(d.n)]
     delta = d.delta
@@ -345,31 +346,17 @@ def minimize(d):
             break
         block = new_block
 
-    m = max(block) + 1
-    finals = frozenset(block[q] for q in d.finals)
-    edges = frozenset((block[u], s, block[v]) for (u, s, v) in d.edges)
-    quotient = Automaton(d.alphabet, m, block[d.initial], finals, edges)
-    return canonical_dfa(quotient)
-
-
-def canonical_dfa(d):
-    """Renumber a trimmed DFA by BFS from the initial state in alphabet order."""
-    if not d.deterministic:
-        raise NotDeterministic("canonical numbering wants a DFA")
-    rename = {d.initial: 0}
-    queue = [d.initial]
+    number = {block[d.initial]: 0}
+    queue = [d.initial]  # one state per block; its block mates move alike
     for q in queue:  # breadth first: the loop reads what it appends
-        for t in d.delta[q]:
-            if t is not None and t not in rename:
-                rename[t] = len(rename)
+        for t in delta[q]:
+            if t is not None and block[t] not in number:
+                number[block[t]] = len(number)
                 queue.append(t)
-    if len(rename) != d.n:
-        raise WheelerkitError("canonical numbering wants a reachable automaton")
-    return Automaton(
-        d.alphabet, d.n, 0,
-        frozenset(rename[q] for q in d.finals),
-        frozenset((rename[u], s, rename[v]) for (u, s, v) in d.edges),
-    )
+    return Automaton(d.alphabet, len(number), 0,
+                     frozenset(number[block[q]] for q in d.finals),
+                     frozenset((number[block[u]], s, number[block[v]])
+                               for (u, s, v) in d.edges))
 
 
 def with_alphabet_order(a, symbols):

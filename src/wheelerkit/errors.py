@@ -19,10 +19,6 @@ class NotDeterministic(WheelerkitError):
     """A DFA-only operation received a nondeterministic automaton."""
 
 
-class WordNotReadable(WheelerkitError):
-    """A word left the automaton (empty reach set) where readability was required."""
-
-
 class AlphabetMismatch(WheelerkitError):
     """Two automata were compared over different symbol sets."""
 

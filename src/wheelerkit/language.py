@@ -267,17 +267,15 @@ def search_witness(min_dfa, candidates):
     of the bucket at hand.  Evaluates the side conditions under `min_dfa`'s
     alphabet order, so the same candidate set can be replayed against
     reordered copies (its walk stays the one of the DFA it was collected
-    from).  A returned witness always re-validates with check_witness_dfa.
+    from).  Each candidate gamma cycles at every one of its anchor pairs, so
+    only the entering words and side conditions are checked here; a
+    returned witness always re-validates with check_witness_dfa.
     """
     key = min_dfa.alphabet.colex_key
     for gamma in _gammas_in_order(candidates, key):
         kg = key(gamma)
         best = None
         for (u, v) in candidates.gammas[gamma]:
-            if dfa_walk(min_dfa, gamma, start=u) != u:
-                continue
-            if dfa_walk(min_dfa, gamma, start=v) != v:
-                continue
             picks = {}
             for state in (u, v):
                 less = greater = None

@@ -272,8 +272,6 @@ def build_min_wdfa(min_dfa, depth=None, word_cap=DEFAULT_WORD_CAP):
             pos = bisect.bisect_left(keys, pk)
             if pos < m and keys[pos] == pk:
                 target = pos
-            elif pos == 0:
-                target = 0
             elif pos == m:
                 target = m - 1
             else:

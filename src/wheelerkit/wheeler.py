@@ -360,11 +360,8 @@ class _OrderSearch:
                         raise SearchBudgetExceeded(f"order search passed {budget} nodes")
                     y = pop()
                     x = pop()
-                    rx, ry = rank[x], rank[y]
-                    if rx != ry:
-                        if rx < ry:
-                            continue
-                        break
+                    if rank[x] != rank[y]:
+                        break  # a cross-class pair is pushed only out of rank order
                     below_y, below_x = below[y], below[x]
                     if x in below_y:
                         continue

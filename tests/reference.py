@@ -14,7 +14,6 @@ from enum import Enum
 from wheelerkit import (
     Automaton,
     WheelerkitError,
-    WordNotReadable,
     determinize,
     dfa_walk,
     minimize,
@@ -22,10 +21,11 @@ from wheelerkit import (
     trim_basic,
 )
 from wheelerkit.alphabet import INITIAL_MARK, is_suffix
-from wheelerkit.automaton import shortest_entering_words
+from wheelerkit.automaton import empty_language_automaton, shortest_entering_words
 from wheelerkit.errors import (
     InfeasibleEnumeration,
     InternalDisagreement,
+    NotDeterministic,
     SearchBudgetExceeded,
 )
 from wheelerkit.language import (
@@ -58,6 +58,10 @@ from wheelerkit.wheeler import (
     label_blocks,
     verify_wheeler,
 )
+
+
+class WordNotReadable(WheelerkitError):
+    """A word left the automaton (empty reach set) where readability was required."""
 
 
 class ColexVerdict(Enum):
@@ -378,6 +382,56 @@ def independent_language_status(d):
         return is_language_wheeler_dfa(d, method=METHOD_CONSTRUCT).status
     except InfeasibleEnumeration:
         return is_language_wheeler_dfa(d, method=METHOD_WITNESS).status
+
+
+def two_step_minimize(d):
+    """`minimize` as two steps: the Moore quotient, its blocks numbered as
+    they appear by state id, then renumbered by `canonical_dfa`."""
+    d = trim_basic(d)
+    if not d.deterministic:
+        raise NotDeterministic("minimize wants a deterministic automaton")
+    if not d.finals:
+        return empty_language_automaton(d.alphabet)
+
+    block = [0 if q in d.finals else 1 for q in range(d.n)]
+    delta = d.delta
+    while True:
+        sigs = {}
+        new_block = [0] * d.n
+        for q in range(d.n):
+            sig = (block[q], tuple(-1 if t is None else block[t] for t in delta[q]))
+            if sig not in sigs:
+                sigs[sig] = len(sigs)
+            new_block[q] = sigs[sig]
+        if new_block == block:
+            break
+        block = new_block
+
+    m = max(block) + 1
+    finals = frozenset(block[q] for q in d.finals)
+    edges = frozenset((block[u], s, block[v]) for (u, s, v) in d.edges)
+    quotient = Automaton(d.alphabet, m, block[d.initial], finals, edges)
+    return canonical_dfa(quotient)
+
+
+def canonical_dfa(d):
+    """Renumber a trimmed DFA by BFS from the initial state in alphabet order."""
+    if not d.deterministic:
+        raise NotDeterministic("canonical numbering wants a DFA")
+    rename = {d.initial: 0}
+    queue = [d.initial]
+    for q in queue:  # breadth first: the loop reads what it appends
+        for t in d.delta[q]:
+            if t is not None and t not in rename:
+                rename[t] = len(rename)
+                queue.append(t)
+    if len(rename) != d.n:
+        raise WheelerkitError("canonical numbering wants a reachable automaton")
+    return Automaton(
+        d.alphabet, d.n, 0,
+        frozenset(rename[q] for q in d.finals),
+        frozenset((rename[u], s, rename[v]) for (u, s, v) in d.edges),
+    )
 
 
 def in_edges(a):

@@ -10,13 +10,14 @@ from wheelerkit import (
     FormatError,
     NotDeterministic,
     OrderedAlphabet,
-    WordNotReadable,
     accepts,
     determinize,
     dfa_walk,
     language_equal,
     minimize,
     parse_automaton,
+    reduce_betweenness_to_dfa,
+    reduce_universality,
     run,
     serialize_automaton,
     to_dot,
@@ -24,9 +25,10 @@ from wheelerkit import (
     word,
 )
 from wheelerkit.automaton import shortest_entering_words
-from reference import right_context_equal
+from reference import WordNotReadable, right_context_equal, two_step_minimize
 from conftest import make
-from corpus import all_words, random_feasible_dfa, random_trimmed_nfa
+from corpus import (SYMS, all_words, enumerate_small_betweenness, random_feasible_dfa,
+                    random_trimmed_nfa)
 
 
 def test_parse_wdfa6_fixture(fixtures_dir, wdfa6):
@@ -162,6 +164,33 @@ def test_minimize_rejects_nfa():
     a = make(("a",), 2, 0, {1}, {(0, "a", 0), (0, "a", 1)})
     with pytest.raises(NotDeterministic):
         minimize(a)
+
+
+def raw_dfa(rng):
+    """Random partial DFA as given: unreachable and dead states, any
+    initial state, possibly no final state."""
+    n, sigma = rng.randint(1, 6), rng.randint(1, 3)
+    edges = {(q, s, rng.randrange(n)) for q in range(n) for s in SYMS[:sigma]
+             if rng.random() < 0.5}
+    finals = {q for q in range(n) if rng.random() < 0.3}
+    return make(SYMS[:sigma], n, rng.randrange(n), finals, edges)
+
+
+def test_minimize_matches_the_two_step_reference(fixtures_dir):
+    rng = random.Random(29)
+    inputs = [random_feasible_dfa(rng, max_n=7, max_sigma=3) for _ in range(1000)]
+    inputs += [determinize(random_trimmed_nfa(rng, max_n=6, max_sigma=3))
+               for _ in range(600)]
+    inputs += [determinize(reduce_universality(
+        random_trimmed_nfa(rng, max_n=4, force_eps=True)).automaton) for _ in range(300)]
+    inputs += [raw_dfa(rng) for _ in range(200)]
+    inputs += [reduce_betweenness_to_dfa(inst).automaton
+               for inst in enumerate_small_betweenness()]
+    inputs += [determinize(parse_automaton(path.read_text(encoding="utf-8")))
+               for path in sorted(fixtures_dir.glob("*.aut"))]
+    assert len(inputs) >= 2000
+    for a in inputs:
+        assert minimize(a) == two_step_minimize(a), serialize_automaton(a)
 
 
 def test_language_equal(wdfa6, mind4_wheeler):

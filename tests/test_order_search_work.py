@@ -3,6 +3,9 @@ calls its decision loop replaced, and `reference.RoundOrderSearch`, the
 full-round refinement and unfiltered propagation before that, and pins on
 the work it does: node counts and memory per node, not times."""
 
+import contextlib
+import io
+import itertools
 import random
 import tracemalloc
 
@@ -16,11 +19,14 @@ from wheelerkit import (
     parse_automaton,
     trim_basic,
 )
+from wheelerkit.cli import main
 from wheelerkit.wheeler import (
+    WheelerOrder,
     WheelerViolation,
     _OrderSearch,
     input_consistency,
     label_blocks,
+    verify_wheeler,
 )
 from corpus import random_trie, random_trimmed_nfa, random_wheeler_nfa
 from reference import PairOrderSearch, RoundOrderSearch, order_search
@@ -168,3 +174,44 @@ def test_out_edges_are_visited_by_symbol_name():
                   frozenset(edges))
     assert order_search(a, 10 ** 6, _OrderSearch)[0] == ("none",)
     assert nodes_to_decide(a) == 9
+
+
+# Every state reads b, so refinement finds no contradiction; the pair search
+# then refutes every order of 1..4 (0 reaches 1, 2 and 3; 1 and 2 both reach
+# 3 and 4).
+REFUTED = """alphabet b
+states 5
+initial 0
+final 0 1 2 3 4
+edge 0 b 1
+edge 0 b 2
+edge 0 b 3
+edge 1 b 3
+edge 1 b 4
+edge 2 b 3
+edge 2 b 4
+"""
+
+
+def test_the_search_refutes_every_order_after_refinement_passes(tmp_path):
+    a = parse_automaton(REFUTED)
+    search = _OrderSearch(a, label_blocks(a, input_consistency(a)), 10 ** 6)
+    assert search.refine()
+    assert not search.solve()
+    assert search.nodes == 8
+    assert nfa_wheeler_search(a, budget=8) is None
+    with pytest.raises(SearchBudgetExceeded):
+        nfa_wheeler_search(a, budget=7)
+    outcome, pair = order_search(a, 10 ** 6, PairOrderSearch)
+    assert (outcome, pair.nodes) == (("none",), 8)
+    assert order_search(a, 10 ** 6, RoundOrderSearch)[0] == ("none",)
+    assert not any(verify_wheeler(a, WheelerOrder.from_sequence((0, *rest))) is None
+                   for rest in itertools.permutations(range(1, 5)))
+
+    path = tmp_path / "refuted.aut"
+    path.write_text(REFUTED)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["check-nfa", str(path)]) == 1
+        assert main(["check-nfa", str(path), "--budget", "7"]) == 2
+    assert "violation: search-exhausted\n" in out.getvalue()

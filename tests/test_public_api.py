@@ -13,7 +13,7 @@ PUBLIC = [
     "InternalDisagreement", "LambdaMap", "LanguageVerdict", "NotDeterministic",
     "OrderedAlphabet", "PreconditionViolated", "ReductionReport", "SearchBudgetExceeded",
     "SearchCaps", "StateBlowupExceeded", "TooManyElements", "Wdfa", "WheelerOrder",
-    "WheelerViolation", "WheelerkitError", "Witness", "WordNotReadable", "accepts",
+    "WheelerViolation", "WheelerkitError", "Witness", "accepts",
     "build_min_wdfa", "certifying_depth", "check_witness_dfa", "determinize", "dfa_walk",
     "dfa_wheeler_order", "gamma_length_bound", "gw_automaton_check", "gw_language_check",
     "input_consistency", "is_language_wheeler_dfa", "is_language_wheeler_nfa", "is_suffix",
@@ -31,6 +31,7 @@ NOT_PUBLIC = [
     "check_witness_nfa", "colex_compare", "compute_fingerprint", "dfa_witness_bound_ok",
     "enumerate_prefixes", "find_witness", "is_primitive", "nfa_witness_bound_ok",
     "path_coherence_check", "recheck_violation", "relabel_by_order", "right_context_equal",
+    "WordNotReadable",
 ]
 
 
