@@ -73,7 +73,10 @@ def _load_automaton(path):
 
 
 def _out(text):
-    """Write to stdout; a closed stdout is an input error, like a bad -o path."""
+    """Write to stdout; a closed stdout is an input error, like a bad -o path.
+    Started with stdout closed, the process has `sys.stdout` None."""
+    if sys.stdout is None:
+        raise _CliError("cannot write <stdout>: no standard output")
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -85,6 +88,14 @@ def _out(text):
             os.dup2(null, sys.stdout.fileno())
             os.close(null)
         raise _CliError(f"cannot write <stdout>: {exc.strerror}") from None
+
+
+def _err(text):
+    """Report on stderr.  A closed stderr loses the message, never the exit
+    code, so no stderr write may raise out of `main`."""
+    with contextlib.suppress(AttributeError, OSError, ValueError):
+        sys.stderr.write(text + "\n")
+        sys.stderr.flush()
 
 
 def _emit(human, block):
@@ -358,20 +369,20 @@ def main(argv=None):
         args = parser.parse_args(argv)
         return args.func(args)
     except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _err(f"error: {exc}")
         return EXIT_INPUT_ERROR
     except (SearchBudgetExceeded, InfeasibleEnumeration, StateBlowupExceeded,
             AlphabetTooLarge, TooManyElements) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
+        _err(f"infeasible: {exc}")
         return EXIT_INFEASIBLE
     except InternalDisagreement as exc:  # a bug that a self-check caught
-        print(f"internal error: InternalDisagreement: {exc}", file=sys.stderr)
+        _err(f"internal error: InternalDisagreement: {exc}")
         return EXIT_INTERNAL
     except WheelerkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _err(f"error: {exc}")
         return EXIT_INPUT_ERROR
     except Exception as exc:  # never exit 1, which means "not Wheeler"
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _err(f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 
 

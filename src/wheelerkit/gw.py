@@ -13,7 +13,11 @@ own from `language.witness_conflicts`; they refute exactly the orders that
 admit a witness, so it needs no per-order test.  The DFA check
 learns a conflict from each order it rejects (a condition-(ii) inversion).
 So the per-order test runs only on orders no known conflict refutes, and
-the first one it accepts is the first accepted permutation.
+the first one it accepts is the first accepted permutation.  When the
+conflicts known before the search mention only some of the symbols, as a
+betweenness gadget's do, the search first refutes them on those symbols
+alone: each literal names two of them, so an order is refuted exactly when
+its restriction is, and none of the sigma! orders needs to be walked.
 """
 
 from __future__ import annotations
@@ -55,7 +59,17 @@ def _first_order(symbols, conflicts, accept):
     literal is decided once its first symbol is placed, and holds if its
     second is not placed yet; a prefix is dropped when placing a symbol
     completes a conflict.
+
+    When the conflicts passed in mention fewer symbols than there are, the
+    same search first runs over the mentioned symbols alone, accepting every
+    order.  Each literal names two mentioned symbols, so an order satisfies
+    a conflict iff its restriction to them does: if no restriction survives,
+    no order does, and the answer is None without a call to `accept`.
     """
+    mentioned = {s for conflict in conflicts for literal in conflict for s in literal}
+    if conflicts and len(mentioned) < len(symbols) and _first_order(
+            [s for s in symbols if s in mentioned], conflicts, lambda order: True) is None:
+        return None
     n = len(symbols)
     index = {s: i for i, s in enumerate(symbols)}
     # watch[s]: (t, p, q) per literal (s, t) of a conflict whose other

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import wheelerkit
@@ -483,3 +484,76 @@ def test_cli_exit_codes_fuzz(text, command):
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert any(line.startswith("verdict: not-") for line in raw.splitlines())
+
+
+def test_export_dot_annotates_an_nfa_with_its_wheeler_order(tmp_path):
+    # the a-successors 2 and 3 sort before the b-successor 1
+    path = _aut(tmp_path, "alphabet a b\nstates 4\ninitial 0\nfinal 1\n"
+                          "edge 0 a 2\nedge 0 a 3\nedge 0 b 1\nedge 2 b 1\nedge 3 b 1\n")
+    code, _, _, raw = run_cli("export-dot", path, "--wheeler")
+    assert code == 0
+    assert raw == ('digraph automaton {\n'
+                   '  rankdir=LR;\n'
+                   '  __init [shape=point, label=""];\n'
+                   '  0 [shape=circle, label="q0\\nrank 0"];\n'
+                   '  1 [shape=doublecircle, label="q1\\nrank 3"];\n'
+                   '  2 [shape=circle, label="q2\\nrank 1"];\n'
+                   '  3 [shape=circle, label="q3\\nrank 2"];\n'
+                   '  __init -> 0;\n'
+                   '  0 -> 2 [label="a"];\n'
+                   '  0 -> 3 [label="a"];\n'
+                   '  0 -> 1 [label="b"];\n'
+                   '  2 -> 1 [label="b"];\n'
+                   '  3 -> 1 [label="b"];\n'
+                   '}\n')
+
+
+def test_export_dot_refuses_an_nfa_without_a_wheeler_order(tmp_path):
+    # input-consistent, but the order search refutes every order
+    path = _aut(tmp_path, "alphabet b\nstates 5\ninitial 0\nfinal 0 1 2 3 4\n"
+                          "edge 0 b 1\nedge 0 b 2\nedge 0 b 3\nedge 1 b 3\n"
+                          "edge 1 b 4\nedge 2 b 3\nedge 2 b 4\n")
+    code, lines, block, _ = run_cli("export-dot", path, "--wheeler")
+    assert code == 1
+    assert lines == [f"{path}: no Wheeler order to annotate"]
+    assert block == {"verdict": "not-wheeler"}
+
+
+def _shell(script, *args):
+    """Run `script` under `sh -c`, so that the shell closes descriptors the
+    way a user's redirection does; $0 is the interpreter, $1... are args."""
+    src = str(pathlib.Path(wheelerkit.__file__).parent.parent)
+    return subprocess.run(["sh", "-c", script, sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_closed_stdout_from_the_shell_is_an_input_error(fixtures_dir):
+    proc = _shell('"$0" -m wheelerkit.cli check-dfa "$1" >&-',
+                  str(fixtures_dir / "astar.aut"))
+    assert proc.returncode == cli.EXIT_INPUT_ERROR == 3
+    assert proc.stderr == "error: cannot write <stdout>: no standard output\n"
+
+
+@pytest.mark.parametrize("closed", ["2>&-", "2</dev/null"])
+def test_closed_stderr_from_the_shell_keeps_every_exit_code(fixtures_dir, tmp_path, closed):
+    # `2>&-` may leave the child without sys.stderr, or with fd 2 reused by a
+    # file opened at start-up; a read-only fd 2 makes every write fail (EBADF)
+    run = '"$0" -m wheelerkit.cli "$@" ' + closed
+    missing = str(tmp_path / "missing.aut")
+    proc = _shell(run, "check-dfa", missing)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "")
+    assert _shell(run + " >&-", "check-dfa", str(fixtures_dir / "wdfa6.aut")).returncode == 3
+    bet = tmp_path / "big.bet"
+    bet.write_text("elements " + " ".join(f"e{i}" for i in range(11)) + "\n")
+    proc = _shell(run, "solve-betweenness", str(bet))
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_INFEASIBLE, "")
+    crash = ('"$0" -c "import sys, wheelerkit.cli as c; c.wheeler.dfa_wheeler_order = None;'
+             ' sys.exit(c.main(sys.argv[1:]))" check-dfa "$1" ' + closed)
+    proc = _shell(crash, str(fixtures_dir / "wdfa6.aut"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_INTERNAL, "", "")
+    # the verdicts still reach stdout
+    proc = _shell(run, "check-dfa", str(fixtures_dir / "notwdfa6.aut"))
+    assert proc.returncode == 1 and "verdict: not-wheeler" in proc.stdout
+    proc = _shell(run, "check-dfa", str(fixtures_dir / "wdfa6.aut"))
+    assert proc.returncode == 0 and "verdict: wheeler" in proc.stdout

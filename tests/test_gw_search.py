@@ -8,6 +8,7 @@ return the same tuple, None or exception on every input.
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -294,3 +295,140 @@ def test_guards_fire_before_the_search():
     for max_sigma in (0, 3, 6):
         assert_same(gw_automaton_check, oracle_gw_automaton, gadget, max_sigma)
         assert_same(gw_language_check, oracle_gw_language, gadget, max_sigma)
+
+
+def _scan(symbols, conflicts, accept):
+    """Every permutation that no conflict known so far refutes, in
+    `itertools.permutations` order, until `accept` takes one; `accept` may
+    extend `conflicts`.  Returns the order taken (or None) and the orders
+    offered."""
+    offered = []
+    for perm in itertools.permutations(symbols):
+        position = {s: i for i, s in enumerate(perm)}
+        if any(all(position[s] < position[t] for s, t in c) for c in conflicts):
+            continue
+        offered.append(perm)
+        if accept(perm):
+            return perm, offered
+    return None, offered
+
+
+def _accepting(take, known, learn=lambda order: ()):
+    """An `accept` that takes the orders `take` accepts, adds to `known` the
+    conflicts `learn` draws from each order it rejects, and logs every call."""
+    calls = []
+
+    def accept(order):
+        calls.append(order)
+        if take(order):
+            return True
+        known.extend(learn(order))
+        return False
+
+    return accept, calls
+
+
+def _entry_cases():
+    """Fixed conflict sets over 7-8 symbols that mention 0-4 of them."""
+    a, b, c, d = "s5", "s1", "s6", "s3"
+    cases = [
+        [()],
+        [((a, b),), ()],
+        [((a, b),)],
+        [((a, b),), ((b, a),)],  # each order of a and b is refuted
+        [((a, b), (b, c))],
+        [((a, b),), ((b, c),), ((c, a),)],  # b < a, c < b, a < c: a cycle
+        [((b, a), (b, c)), ((a, b), (c, b)), ((c, a), (c, b)), ((a, c), (b, c))],
+        [((b, a), (b, c)), ((a, b), (c, b)), ((a, c), (a, d))],
+        [((a, b), (c, d)), ((b, a), (d, c)), ((a, b), (d, c)), ((b, a), (c, d))],
+        [((a, b), (c, d)), ((b, a), (d, c)), ((a, b), (d, c))],
+        [((d, a),), ((a, b), (b, c)), ((b, a), (a, c)), ((c, d),)],
+    ]
+    rng = random.Random(24)
+    while len(cases) < 40:
+        named = rng.sample(["s%d" % i for i in range(7)], rng.randint(2, 4))
+        literals = list(itertools.permutations(named, 2))
+        cases.append([tuple(rng.sample(literals, rng.randint(1, 2)))
+                      for _ in range(rng.randint(1, 7))])
+    return cases
+
+
+def test_an_entry_set_naming_few_symbols_matches_the_permutation_scan():
+    rng = random.Random(5)
+    refuting = 0
+    for k, conflicts in enumerate(_entry_cases()):
+        symbols = tuple("s%d" % i for i in range(7 + k % 2))
+        # sparse, so that surviving sets offer many orders before one is taken
+        accepted = {p for p in itertools.permutations(symbols) if rng.random() < 0.002}
+        expected, expected_calls = _scan(symbols, conflicts, accepted.__contains__)
+        work = list(conflicts)
+        accept, calls = _accepting(accepted.__contains__, work)
+        assert _first_order(symbols, work, accept) == expected, conflicts
+        assert calls == expected_calls, conflicts
+        refuting += not expected_calls
+    assert 10 <= refuting <= 30
+
+
+def test_a_learning_run_from_no_conflicts_matches_the_permutation_scan():
+    outcomes = set()
+    for trial in range(12):
+        symbols = tuple("s%d" % i for i in range(7 + trial % 2))
+        named = random.Random(trial).sample(symbols, 3)
+
+        def learn(order, trial=trial):
+            """A rejected order teaches conflicts over three symbols only."""
+            r = random.Random(f"{trial} {order}")
+            holding = [(s, t) for i, s in enumerate(order) for t in order[i + 1:]
+                       if s in named and t in named]
+            return [tuple(r.sample(holding, r.randint(1, 2)))
+                    for _ in range(r.randint(0, 1))]
+
+        def accepts(order, trial=trial):
+            return random.Random(f"take {trial} {order}").random() < 0.15
+
+        known = []
+        expected, expected_calls = _scan(symbols, known,
+                                         _accepting(accepts, known, learn)[0])
+        work = []
+        accept, calls = _accepting(accepts, work, learn)
+        assert _first_order(symbols, work, accept) == expected
+        assert calls == expected_calls
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def test_betweenness_on_three_of_eight_elements_matches_the_oracle(exact_pruning):
+    rng = random.Random(8)
+    elements = tuple("y%d" % i for i in range(1, 9))
+    outcomes = set()
+    for _ in range(12):
+        named = rng.sample(elements, 3)
+        triples = list(itertools.permutations(named))
+        inst = BetweennessInstance(elements, tuple(rng.sample(triples, rng.randint(1, 3))))
+        assert_same(solve_betweenness, oracle_solve_betweenness, inst)
+        outcomes.add(solve_betweenness(inst) is None)
+    assert outcomes == {True, False}
+
+
+def test_the_entry_check_refutes_on_the_named_symbols_alone():
+    # three triples naming each of y8, y9, y10 as the middle: no order of ten
+    # survives, and the search must find that out among those three alone,
+    # not after every arrangement of the other seven (counted in lines run)
+    elements = tuple("y%d" % i for i in range(1, 11))
+    inst = BetweennessInstance(elements, (("y8", "y9", "y10"), ("y9", "y10", "y8"),
+                                          ("y10", "y8", "y9")))
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if event == "line" and frame.f_code.co_filename == gw.__file__:
+            lines += 1
+            if lines > 2_000:
+                raise AssertionError("the search runs past the named symbols")
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        assert solve_betweenness(inst) is None
+    finally:
+        sys.settrace(None)
