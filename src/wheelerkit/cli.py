@@ -24,13 +24,9 @@ from .automaton import (
     trim_basic,
 )
 from .errors import (
-    AlphabetTooLarge,
+    BoundExceeded,
     ConstructionInconsistent,
-    InfeasibleEnumeration,
     InternalDisagreement,
-    SearchBudgetExceeded,
-    StateBlowupExceeded,
-    TooManyElements,
     WheelerkitError,
 )
 
@@ -41,13 +37,9 @@ EXIT_INPUT_ERROR = 3
 EXIT_INTERNAL = 4
 
 
-class _CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _CliError(message)
+        raise WheelerkitError(message)
 
 
 def _read(path):
@@ -55,9 +47,9 @@ def _read(path):
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc.strerror}") from None
+        raise WheelerkitError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise _CliError(f"cannot read {path}: {exc}") from None
+        raise WheelerkitError(f"cannot read {path}: {exc}") from None
 
 
 def _write(path, text):
@@ -65,18 +57,18 @@ def _write(path, text):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _CliError(f"cannot write {path}: {exc.strerror}") from None
+        raise WheelerkitError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_automaton(path):
-    return parse_automaton(_read(path))
+    return trim_basic(parse_automaton(_read(path)))
 
 
 def _out(text):
     """Write to stdout; a closed stdout is an input error, like a bad -o path.
     Started with stdout closed, the process has `sys.stdout` None."""
     if sys.stdout is None:
-        raise _CliError("cannot write <stdout>: no standard output")
+        raise WheelerkitError("cannot write <stdout>: no standard output")
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -87,7 +79,7 @@ def _out(text):
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, sys.stdout.fileno())
             os.close(null)
-        raise _CliError(f"cannot write <stdout>: {exc.strerror}") from None
+        raise WheelerkitError(f"cannot write <stdout>: {exc.strerror}") from None
 
 
 def _err(text):
@@ -126,11 +118,11 @@ def _parse_caps(text):
     values = {}
     for part in text.split(","):
         if "=" not in part:
-            raise _CliError(f"bad caps item {part!r} (want key=value)")
+            raise WheelerkitError(f"bad caps item {part!r} (want key=value)")
         key, _, raw = part.partition("=")
         if key not in ("gamma", "cycle", "pump", "paths") or not (
                 raw.isascii() and raw.isdigit()):
-            raise _CliError(f"bad caps item {part!r}")
+            raise WheelerkitError(f"bad caps item {part!r}")
         values[key] = int(raw)
     return language.SearchCaps(
         gamma_bound=values.get("gamma"),
@@ -140,45 +132,43 @@ def _parse_caps(text):
     )
 
 
-def cmd_check_dfa(args):
-    a = trim_basic(_load_automaton(args.file))
-    if not a.deterministic:
-        raise _CliError("input is nondeterministic; use check-nfa")
-    result = wheeler.dfa_wheeler_order(a)
+def _wheeler_result(path, result):
+    """Print an order (exit 0), or a violation or None for no order (exit 1)."""
     if isinstance(result, wheeler.WheelerOrder):
-        _emit([f"{args.file}: Wheeler"], [("verdict", "wheeler")] + _order_block(result))
+        _emit([f"{path}: Wheeler"], [("verdict", "wheeler")] + _order_block(result))
         return EXIT_POSITIVE
-    _emit([f"{args.file}: not Wheeler ({result.detail})"], _violation_block(result))
+    if result is None:
+        _emit([f"{path}: not Wheeler"],
+              [("verdict", "not-wheeler"), ("violation", "search-exhausted"),
+               ("evidence", "no state order satisfies the Wheeler conditions")])
+    else:
+        _emit([f"{path}: not Wheeler ({result.detail})"], _violation_block(result))
     return EXIT_NEGATIVE
+
+
+def cmd_check_dfa(args):
+    a = _load_automaton(args.file)
+    if not a.deterministic:
+        raise WheelerkitError("input is nondeterministic; use check-nfa")
+    return _wheeler_result(args.file, wheeler.dfa_wheeler_order(a))
 
 
 def cmd_check_nfa(args):
     if args.budget < 0:
-        raise _CliError(f"--budget must be a node count of 0 or more, not {args.budget}")
-    a = trim_basic(_load_automaton(args.file))
-    result = wheeler.nfa_wheeler_search(a, budget=args.budget)
-    if isinstance(result, wheeler.WheelerOrder):
-        _emit([f"{args.file}: Wheeler"], [("verdict", "wheeler")] + _order_block(result))
-        return EXIT_POSITIVE
-    if isinstance(result, wheeler.WheelerViolation):
-        _emit([f"{args.file}: not Wheeler ({result.detail})"], _violation_block(result))
-        return EXIT_NEGATIVE
-    _emit([f"{args.file}: not Wheeler"],
-          [("verdict", "not-wheeler"),
-           ("violation", "search-exhausted"),
-           ("evidence", "no state order satisfies the Wheeler conditions")])
-    return EXIT_NEGATIVE
+        raise WheelerkitError(f"--budget must be a node count of 0 or more, not {args.budget}")
+    a = _load_automaton(args.file)
+    return _wheeler_result(args.file, wheeler.nfa_wheeler_search(a, budget=args.budget))
 
 
 def cmd_check_lang(args):
-    a = trim_basic(_load_automaton(args.file))
+    a = _load_automaton(args.file)
     caps = _parse_caps(args.caps) if args.caps else None
     started = time.perf_counter()
     if args.nfa:
         verdict = language.is_language_wheeler_nfa(a, method=args.method, caps=caps)
     else:
         if not a.deterministic:
-            raise _CliError("input is nondeterministic; pass --nfa")
+            raise WheelerkitError("input is nondeterministic; pass --nfa")
         verdict = language.is_language_wheeler_dfa(a, method=args.method, caps=caps)
     elapsed = time.perf_counter() - started
 
@@ -214,10 +204,10 @@ def _write_wdfa(path, wdfa):
 
 def cmd_min_wdfa(args):
     if args.word_cap < 0:
-        raise _CliError(f"--word-cap must be a word count of 0 or more, not {args.word_cap}")
-    a = trim_basic(_load_automaton(args.file))
+        raise WheelerkitError(f"--word-cap must be a word count of 0 or more, not {args.word_cap}")
+    a = _load_automaton(args.file)
     if not a.deterministic:
-        raise _CliError("input is nondeterministic; determinize it first")
+        raise WheelerkitError("input is nondeterministic; determinize it first")
     min_dfa = minimize(a)
     try:
         wdfa = minwdfa.build_min_wdfa(min_dfa, depth=args.depth, word_cap=args.word_cap)
@@ -235,10 +225,10 @@ def cmd_min_wdfa(args):
 
 
 def cmd_check_gw(args):
-    a = trim_basic(_load_automaton(args.file))
+    a = _load_automaton(args.file)
     if args.language:
         if not a.deterministic:
-            raise _CliError("--language wants a DFA input")
+            raise WheelerkitError("--language wants a DFA input")
         order = gw.gw_language_check(a)
     else:
         order = gw.gw_automaton_check(a)
@@ -268,7 +258,7 @@ def cmd_reduce(args):
         report = reductions.reduce_betweenness_to_dfa(
             gw.parse_betweenness(_read(args.file)))
     else:
-        a = trim_basic(_load_automaton(args.file))
+        a = _load_automaton(args.file)
         if args.kind == "universality":
             report = reductions.reduce_universality(a)
         else:
@@ -285,7 +275,7 @@ def cmd_reduce(args):
 
 
 def cmd_export_dot(args):
-    a = trim_basic(_load_automaton(args.file))
+    a = _load_automaton(args.file)
     ranks = None
     if args.wheeler:
         result = (wheeler.dfa_wheeler_order(a) if a.deterministic
@@ -316,7 +306,7 @@ def build_parser():
 
     p = sub.add_parser("check-nfa", help="is this NFA Wheeler (backtracking search)")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=10 ** 6)
+    p.add_argument("--budget", type=int, default=wheeler.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_check_nfa)
 
     p = sub.add_parser("check-lang", help="is the accepted language Wheeler")
@@ -368,11 +358,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        _err(f"error: {exc}")
-        return EXIT_INPUT_ERROR
-    except (SearchBudgetExceeded, InfeasibleEnumeration, StateBlowupExceeded,
-            AlphabetTooLarge, TooManyElements) as exc:
+    except BoundExceeded as exc:
         _err(f"infeasible: {exc}")
         return EXIT_INFEASIBLE
     except InternalDisagreement as exc:  # a bug that a self-check caught

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.  Three families decide the CLI
+exit code: a BoundExceeded (a bound stopped the work) exits 2, an
+InternalDisagreement (a failed self-check) 4, any other WheelerkitError 3."""
 
 
 class WheelerkitError(Exception):
@@ -23,23 +25,27 @@ class AlphabetMismatch(WheelerkitError):
     """Two automata were compared over different symbol sets."""
 
 
-class SearchBudgetExceeded(WheelerkitError):
+class BoundExceeded(WheelerkitError):
+    """A budget or cap stopped the work before it reached a verdict."""
+
+
+class SearchBudgetExceeded(BoundExceeded):
     """A backtracking search ran out of its node budget before deciding."""
 
 
-class StateBlowupExceeded(WheelerkitError):
+class StateBlowupExceeded(BoundExceeded):
     """Subset construction passed the configured state cap."""
 
 
-class InfeasibleEnumeration(WheelerkitError):
+class InfeasibleEnumeration(BoundExceeded):
     """A bounded enumeration would exceed its word cap."""
 
 
-class AlphabetTooLarge(WheelerkitError):
+class AlphabetTooLarge(BoundExceeded):
     """Order search over sigma! permutations refused: alphabet over budget."""
 
 
-class TooManyElements(WheelerkitError):
+class TooManyElements(BoundExceeded):
     """Betweenness solver refused: element set over budget."""
 
 

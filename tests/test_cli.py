@@ -340,6 +340,45 @@ def test_min_wdfa_past_the_digit_limit_is_infeasible(tmp_path):
     assert not (tmp_path / "out.aut").exists()
 
 
+_NINE_SYMBOLS = "alphabet a b c d e f g h i\nstates 2\ninitial 0\nfinal 1\nedge 0 a 1\n"
+_ELEVEN_ELEMENTS = "elements " + " ".join(f"e{i}" for i in range(11)) + "\n"
+
+
+@pytest.mark.parametrize("error, make_argv, message", [
+    ("SearchBudgetExceeded",
+     lambda fx, tmp: ["check-nfa", str(fx / "wdfa6.aut"), "--budget", "0"],
+     "order search passed 0 nodes"),
+    ("StateBlowupExceeded",
+     lambda fx, tmp: ["check-lang", str(fx / "wdfa6.aut"), "--nfa"],
+     "subset construction passed 1 states"),
+    ("InfeasibleEnumeration",
+     lambda fx, tmp: ["min-wdfa", str(fx / "mind4_wheeler.aut"), "-o", str(tmp / "out.aut"),
+                      "--word-cap", "1"],
+     "60 readable words up to depth 20 exceed the cap 1"),
+    ("AlphabetTooLarge",
+     lambda fx, tmp: ["check-gw", _aut(tmp, _NINE_SYMBOLS), "--automaton"],
+     "9! orders exceed the budget (sigma <= 8)"),
+    ("TooManyElements",
+     lambda fx, tmp: ["solve-betweenness", _aut(tmp, _ELEVEN_ELEMENTS)],
+     "11 elements exceed the budget 10"),
+])
+def test_every_bound_error_exits_infeasible(fixtures_dir, tmp_path, monkeypatch,
+                                            error, make_argv, message):
+    if error == "StateBlowupExceeded":
+        # a real subset construction past 2^18 states takes seconds and
+        # hundreds of MB; a cap of one state reaches the same error at once
+        real = language.is_language_wheeler_nfa
+        monkeypatch.setattr(language, "is_language_wheeler_nfa",
+                            lambda a, **kw: real(a, state_cap=1, **kw))
+    assert issubclass(getattr(wheelerkit, error), wheelerkit.errors.BoundExceeded)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(make_argv(fixtures_dir, tmp_path))
+    assert code == cli.EXIT_INFEASIBLE == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == f"infeasible: {message}\n"
+
+
 def test_non_utf8_input_is_an_input_error(fixtures_dir, tmp_path):
     aut = tmp_path / "bad.aut"
     aut.write_bytes((fixtures_dir / "wdfa6.aut").read_bytes() + b"# \xff\n")
