@@ -7,24 +7,25 @@ Wheeler.  Both checks and the betweenness solver run one depth-first search
 over order prefixes (`_first_order`), lexicographic in the listed order, and
 report the first order that works.  The search drops a prefix, with all of
 its completions, once it satisfies a conflict: a pair of "s before t"
-literals that refutes every order satisfying both.  The solver reads its
-conflicts off the triples before searching.  The language check takes its
-own from `language.witness_conflicts`; they refute exactly the orders that
-admit a witness, so it needs no per-order test.  The DFA check
-learns a conflict from each order it rejects (a condition-(ii) inversion).
-So the per-order test runs only on orders no known conflict refutes, and
-the first one it accepts is the first accepted permutation.  When the
-conflicts known before the search mention only some of the symbols, as a
-betweenness gadget's do, the search first refutes them on those symbols
-alone: each literal names two of them, so an order is refuted exactly when
-its restriction is, and none of the sigma! orders needs to be walked.
+literals that refutes every order satisfying both.  The solver's conflicts
+(off the triples) and the language check's (`language.witness_conflicts`)
+are exact, so neither tests an order on its own.  The automaton check runs
+one library test per order, and a rejected DFA order teaches it a conflict
+(a condition-(ii) inversion).  So the test runs only on orders no known
+conflict refutes, and the first one it accepts is the first accepted
+permutation.  When the conflicts known before the search mention only some
+of the symbols, as a betweenness gadget's do, the search first refutes them
+on those symbols alone: each literal names two of them, so an order is
+refuted exactly when its restriction is, and none of the sigma! orders
+needs to be walked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .automaton import minimize, shortest_entering_words, with_alphabet_order
+from .automaton import minimize, with_alphabet_order
 from .errors import AlphabetTooLarge, FormatError, TooManyElements, WheelerkitError
 from .language import witness_conflicts
 from .wheeler import (
@@ -32,9 +33,10 @@ from .wheeler import (
     DEFAULT_BUDGET,
     WheelerOrder,
     WheelerViolation,
+    _colex_candidate,
+    _entering_words,
     input_consistency,
     nfa_wheeler_search,
-    verify_wheeler,
 )
 
 DEFAULT_MAX_SIGMA = 8
@@ -155,43 +157,33 @@ def gw_automaton_check(a, max_sigma=DEFAULT_MAX_SIGMA, budget=DEFAULT_BUDGET):
     """First alphabet order making the automaton Wheeler, or None.
 
     Input consistency does not depend on the order, so an inconsistent
-    automaton short-circuits to None.  For DFAs the per-order test reuses one
-    set of entering words (any entering word represents its state).  A
-    rejected DFA order fails condition (ii) on two same-label edges (u, c, x)
-    and (v, c, y) with u before v and y before x; the co-lex comparisons of
-    their entering words that put them so refute every order where they
-    agree, so the search learns them as a conflict.  NFAs get no conflicts.
+    automaton short-circuits to None.  Each order runs one library test: the
+    co-lex candidate of a DFA, from entering words taken once, or
+    `nfa_wheeler_search`.  A rejected DFA order fails condition (ii) on two
+    same-label edges (u, c, x) and (v, c, y) with u before v and y before x;
+    the co-lex comparisons of their entering words that put them so refute
+    every order where they agree, so the search learns them as a conflict.
+    An NFA result is never a violation, so NFAs learn nothing.
     """
     _check_sigma(a.alphabet, max_sigma)
     if isinstance(input_consistency(a), WheelerViolation):
         return None
-    symbols = a.alphabet.symbols
     if a.deterministic:
-        entering, _ = shortest_entering_words(a, per_state=1)
-        if not all(entering.values()):
-            raise WheelerkitError("gw check wants a trimmed automaton")
-        word = {q: ws[0] for q, ws in entering.items()}
-        learned = []
+        words = _entering_words(a, "gw check")
+        test = partial(_colex_candidate, words=words)
+    else:
+        test = partial(nfa_wheeler_search, budget=budget)
+    learned = []
 
-        def wheeler_under(order):
-            candidate = with_alphabet_order(a, order)
-            key = candidate.alphabet.colex_key
-            ranks = WheelerOrder.from_sequence(
-                sorted(range(a.n), key=lambda q: key(word[q])))
-            violation = verify_wheeler(candidate, ranks)
-            if violation is not None and violation.kind == CONDITION_II:
-                (u, _, x), (v, _, y) = violation.evidence
-                learned.append(_conflict(_before(word[u], word[v]),
-                                         _before(word[y], word[x])))
-            return violation is None
-
-        return _first_order(symbols, learned, wheeler_under)
-
-    def nfa_wheeler_under(order):
-        result = nfa_wheeler_search(with_alphabet_order(a, order), budget=budget)
+    def accept(order):
+        result = test(with_alphabet_order(a, order))
+        if isinstance(result, WheelerViolation) and result.kind == CONDITION_II:
+            (u, _, x), (v, _, y) = result.evidence
+            learned.append(_conflict(_before(words[u], words[v]),
+                                     _before(words[y], words[x])))
         return isinstance(result, WheelerOrder)
 
-    return _first_order(symbols, [], nfa_wheeler_under)
+    return _first_order(a.alphabet.symbols, learned, accept)
 
 
 def gw_language_check(d, max_sigma=DEFAULT_MAX_SIGMA):
@@ -277,6 +269,7 @@ def solve_betweenness(inst):
 
     A triple (a, b, c) fails exactly when b comes first or last of the
     three, so each triple gives the conflicts (b<a, b<c) and (a<b, c<b).
+    They refute exactly the failing orders, so no order is tested on its own.
     """
     if len(inst.elements) > MAX_ELEMENTS:
         raise TooManyElements(
@@ -285,9 +278,4 @@ def solve_betweenness(inst):
     for (a, b, c) in inst.triples:
         conflicts.append(((b, a), (b, c)))
         conflicts.append(((a, b), (c, b)))
-
-    def satisfies_all(order):
-        position = {y: i for i, y in enumerate(order)}
-        return all(triple_satisfied(position, t) for t in inst.triples)
-
-    return _first_order(inst.elements, conflicts, satisfies_all)
+    return _first_order(inst.elements, conflicts, lambda order: True)

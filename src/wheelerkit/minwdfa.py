@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .alphabet import INITIAL_MARK
-from .automaton import Automaton, language_equal, count_readable_words
+from .automaton import Automaton, count_readable_words, minimize
 from .errors import (
     ConstructionInconsistent,
     InfeasibleEnumeration,
@@ -301,6 +301,6 @@ def build_min_wdfa(min_dfa, depth=None, word_cap=DEFAULT_WORD_CAP):
         violation = verify_wheeler(automaton, order)
         if violation is not None:
             raise ConstructionInconsistent(f"built automaton is not Wheeler: {violation}")
-        if not language_equal(automaton, min_dfa):
+        if minimize(automaton) != minimize(min_dfa):
             raise ConstructionInconsistent("built automaton changes the language")
     return Wdfa(automaton, order, reps, certifying)

@@ -7,10 +7,11 @@ A Wheeler order is a total order on states with the initial state as minimum
   (ii) a1 = a2 and u1 < u2     implies  v1 <= v2
 
 For DFAs the order, when it exists, is unique: sort states by the
-co-lexicographic order of any word entering them.  For NFAs a stable-rank
-refinement first splits each in-label block into ranked classes, sorting
-states by the (min, max) rank of their in-edge sources until no class
-splits; every Wheeler order agrees with those ranks, and the fixpoint
+co-lexicographic order of any word entering them; `dfa_wheeler_order` and
+each alphabet order the GW check tries share that candidate.  For NFAs a
+stable-rank refinement first splits each in-label block into ranked classes,
+sorting states by the (min, max) rank of their in-edge sources until no
+class splits; every Wheeler order agrees with those ranks, and the fixpoint
 refutes every order when a class is inconsistent.  The refinement is
 Hopcroft-style: a split re-keys only the successors of its smaller parts,
 so a chain of n states costs about 2n re-keys, not n^2/2.  Existence
@@ -166,13 +167,22 @@ def dfa_wheeler_order(d):
     lam = input_consistency(d)
     if isinstance(lam, WheelerViolation):
         return lam
+    return _colex_candidate(d, _entering_words(d, "dfa_wheeler_order"))
+
+
+def _entering_words(d, caller):
+    """The (length, co-lex) least entering word of each state of a trimmed DFA."""
     entering, _ = shortest_entering_words(d, per_state=1)
     if not all(entering.values()):
-        raise WheelerkitError("dfa_wheeler_order wants a trimmed automaton")
+        raise WheelerkitError(f"{caller} wants a trimmed automaton")
+    return [ws[0] for ws in entering.values()]
+
+
+def _colex_candidate(d, words):
+    """DFA states sorted co-lex by `words`, or `verify_wheeler`'s first violation."""
     key = d.alphabet.colex_key
-    order = WheelerOrder.from_sequence(sorted(range(d.n), key=lambda q: key(entering[q][0])))
-    violation = verify_wheeler(d, order)
-    return violation if violation is not None else order
+    order = WheelerOrder.from_sequence(sorted(range(d.n), key=lambda q: key(words[q])))
+    return verify_wheeler(d, order) or order
 
 
 class _OrderSearch:

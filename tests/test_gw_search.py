@@ -26,7 +26,7 @@ from wheelerkit import (
     with_alphabet_order,
 )
 from wheelerkit.errors import AlphabetTooLarge, InfeasibleEnumeration, TooManyElements
-from wheelerkit import gw
+from wheelerkit import gw, wheeler
 from wheelerkit.gw import DEFAULT_MAX_SIGMA, _first_order, triple_satisfied
 from wheelerkit.automaton import shortest_entering_words
 from wheelerkit.language import (
@@ -39,8 +39,10 @@ from wheelerkit.language import (
     witness_conflicts,
 )
 from wheelerkit.wheeler import (
+    CONDITION_II,
     WheelerOrder,
     WheelerViolation,
+    dfa_wheeler_order,
     input_consistency,
     nfa_wheeler_search,
     verify_wheeler,
@@ -153,7 +155,7 @@ def exact_pruning(monkeypatch):
             rejected.append(violation.evidence)
         return violation
 
-    monkeypatch.setattr(gw, "verify_wheeler", logged)
+    monkeypatch.setattr(wheeler, "verify_wheeler", logged)
     return rejected
 
 
@@ -252,6 +254,29 @@ def test_random_dfas_match_the_oracles(exact_pruning):
         d = random_feasible_dfa(rng, max_n=6, max_sigma=4)
         check_automaton(d, exact_pruning)
         assert_same(gw_language_check, oracle_gw_language, d)
+
+
+def test_the_dfa_order_and_the_gw_check_share_one_candidate():
+    """On an input-consistent DFA the GW check takes the listed order first,
+    so it returns that order exactly when `dfa_wheeler_order` finds the
+    Wheeler order.  The candidate sorts each state by a word ending in its
+    in-label, so it always meets (i): every violation is a condition-(ii)
+    one, the kind the GW check learns conflicts from."""
+    rng = random.Random(315)
+    dfas = [trim_basic(parse_automaton(path.read_text()))
+            for path in sorted(FIXTURES.glob("*.aut"))]
+    dfas += [random_feasible_dfa(rng) for _ in range(300)]
+    dfas += [reduce_betweenness_to_dfa(inst).automaton for inst in enumerate_small_betweenness()]
+    kinds = set()
+    for d in dfas:
+        if not d.deterministic or isinstance(input_consistency(d), WheelerViolation):
+            continue
+        result = dfa_wheeler_order(d)
+        wheeler_as_listed = isinstance(result, WheelerOrder)
+        assert (gw_automaton_check(d) == d.alphabet.symbols) == wheeler_as_listed, d
+        assert wheeler_as_listed or result.kind == CONDITION_II, (d, result)
+        kinds.add(wheeler_as_listed)
+    assert kinds == {True, False}
 
 
 def test_witness_conflicts_refute_exactly_the_non_wheeler_orders():
