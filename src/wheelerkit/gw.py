@@ -34,7 +34,7 @@ from .wheeler import (
     WheelerOrder,
     WheelerViolation,
     _colex_candidate,
-    _entering_words,
+    _entering_tree,
     input_consistency,
     nfa_wheeler_search,
 )
@@ -137,14 +137,16 @@ def _first_order(symbols, conflicts, accept):
         i = resume.pop()
 
 
-def _before(x, y):
-    """Literal for "word x sorts co-lex before word y": the first pair of
-    symbols where they differ, read from the end, or a constant when one
-    word is a suffix of the other."""
-    for s, t in zip(reversed(x), reversed(y)):
-        if s != t:
-            return (s, t)
-    return len(x) < len(y)
+def _before(parent, symbol, x, y):
+    """Literal for "the entering word of state x sorts co-lex before that
+    of y", the words read up the `parent` tree: the first pair of symbols
+    where they differ, or a constant when one word is a suffix of the
+    other."""
+    while x != y and symbol[x] == symbol[y]:
+        x, y = parent[x], parent[y]
+    if x == y or symbol[y] is None:
+        return False
+    return True if symbol[x] is None else (symbol[x], symbol[y])
 
 
 def _conflict(*literals):
@@ -158,19 +160,20 @@ def gw_automaton_check(a, max_sigma=DEFAULT_MAX_SIGMA, budget=DEFAULT_BUDGET):
 
     Input consistency does not depend on the order, so an inconsistent
     automaton short-circuits to None.  Each order runs one library test: the
-    co-lex candidate of a DFA, from entering words taken once, or
-    `nfa_wheeler_search`.  A rejected DFA order fails condition (ii) on two
-    same-label edges (u, c, x) and (v, c, y) with u before v and y before x;
-    the co-lex comparisons of their entering words that put them so refute
-    every order where they agree, so the search learns them as a conflict.
+    co-lex candidate of a DFA, from one entering-word parent tree read
+    under that order, or `nfa_wheeler_search`.  A rejected DFA order fails
+    condition (ii) on two same-label edges (u, c, x) and (v, c, y) with u
+    before v and y before x; the co-lex comparisons of their entering
+    words, walked up the tree, that put them so refute every order where
+    they agree, so the search learns them as a conflict.
     An NFA result is never a violation, so NFAs learn nothing.
     """
     _check_sigma(a.alphabet, max_sigma)
     if isinstance(input_consistency(a), WheelerViolation):
         return None
     if a.deterministic:
-        words = _entering_words(a, "gw check")
-        test = partial(_colex_candidate, words=words)
+        parent, symbol = tree = _entering_tree(a, "gw check")
+        test = partial(_colex_candidate, tree=tree)
     else:
         test = partial(nfa_wheeler_search, budget=budget)
     learned = []
@@ -179,8 +182,8 @@ def gw_automaton_check(a, max_sigma=DEFAULT_MAX_SIGMA, budget=DEFAULT_BUDGET):
         result = test(with_alphabet_order(a, order))
         if isinstance(result, WheelerViolation) and result.kind == CONDITION_II:
             (u, _, x), (v, _, y) = result.evidence
-            learned.append(_conflict(_before(words[u], words[v]),
-                                     _before(words[y], words[x])))
+            learned.append(_conflict(_before(parent, symbol, u, v),
+                                     _before(parent, symbol, y, x)))
         return isinstance(result, WheelerOrder)
 
     return _first_order(a.alphabet.symbols, learned, accept)

@@ -8,16 +8,22 @@ A Wheeler order is a total order on states with the initial state as minimum
 
 For DFAs the order, when it exists, is unique: sort states by the
 co-lexicographic order of any word entering them; `dfa_wheeler_order` and
-each alphabet order the GW check tries share that candidate.  For NFAs a
-stable-rank refinement first splits each in-label block into ranked classes,
-sorting states by the (min, max) rank of their in-edge sources until no
-class splits; every Wheeler order agrees with those ranks, and the fixpoint
-refutes every order when a class is inconsistent.  The refinement is
+each alphabet order the GW check tries share that candidate.  Each state's
+least entering word is its parent's plus one symbol, so prefix doubling up
+that parent tree ranks the words in about log2(depth) sorts and O(n)
+memory, and no word is built.  For NFAs a stable-rank refinement first
+splits each in-label block into ranked classes, sorting states by the
+(min, max) rank of their in-edge sources until no class splits; every
+Wheeler order agrees with those ranks, and the fixpoint refutes every
+order when a class is inconsistent.  The refinement is
 Hopcroft-style: a split re-keys only the successors of its smaller parts,
 so a chain of n states costs about 2n re-keys, not n^2/2.  Existence
 is then decided by backtracking over the orderings inside each class, in
 one loop that scans, decides and propagates with no call or tuple per node,
-and propagation pushes only pairs it does not know yet.
+and propagation pushes only pairs it does not know yet.  A state with no
+out-edges is oriented before its open class mates in one run while that
+pushes no pair, with the same decisions, trail and node count as one pair
+at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from itertools import groupby
 from operator import itemgetter
 
 from .alphabet import INITIAL_MARK
-from .automaton import shortest_entering_words
 from .errors import (InternalDisagreement, NotDeterministic, SearchBudgetExceeded,
                      WheelerkitError)
 
@@ -159,29 +164,73 @@ def verify_wheeler(a, order):
 def dfa_wheeler_order(d):
     """Wheeler order of a trimmed DFA, or the violation refuting every order.
 
-    Sorts states by the co-lex order of one entering word each, then verifies;
-    for a DFA this candidate is the only order that can work.
+    Ranks states by the co-lex order of one entering word each, then
+    verifies; for a DFA this candidate is the only order that can work.
     """
     if not d.deterministic:
         raise NotDeterministic("dfa_wheeler_order wants a DFA")
     lam = input_consistency(d)
     if isinstance(lam, WheelerViolation):
         return lam
-    return _colex_candidate(d, _entering_words(d, "dfa_wheeler_order"))
+    return _colex_candidate(d, _entering_tree(d, "dfa_wheeler_order"))
 
 
-def _entering_words(d, caller):
-    """The (length, co-lex) least entering word of each state of a trimmed DFA."""
-    entering, _ = shortest_entering_words(d, per_state=1)
-    if not all(entering.values()):
+def _entering_tree(d, caller):
+    """(parent, symbol) per state of a trimmed DFA: its (length, co-lex)
+    least entering word is its parent's plus that symbol.  The walk is
+    `entering_layers(per_state=1)`'s with states in place of words, so it
+    picks the same words; the initial state is its own parent, with symbol
+    None."""
+    syms = d.alphabet.symbols
+    parent, symbol = [None] * d.n, [None] * d.n
+    parent[d.initial] = d.initial
+    layer = [d.initial]
+    while layer:
+        children = [[] for _ in syms]
+        for q in layer:
+            for i, targets in enumerate(d.succ[q]):
+                for t in targets:
+                    if parent[t] is None:
+                        children[i].append((q, t))
+        layer = []
+        for s, group in zip(syms, children):
+            for q, t in group:
+                if parent[t] is None:
+                    parent[t], symbol[t] = q, s
+                    layer.append(t)
+    if None in parent:
         raise WheelerkitError(f"{caller} wants a trimmed automaton")
-    return [ws[0] for ws in entering.values()]
+    return parent, symbol
 
 
-def _colex_candidate(d, words):
-    """DFA states sorted co-lex by `words`, or `verify_wheeler`'s first violation."""
-    key = d.alphabet.colex_key
-    order = WheelerOrder.from_sequence(sorted(range(d.n), key=lambda q: key(words[q])))
+def _colex_candidate(d, tree):
+    """DFA states ranked co-lex by the words of `tree` (from `_entering_tree`,
+    read under `d`'s alphabet order), or `verify_wheeler`'s first violation.
+
+    A word read backwards is the symbol path from its state up to the root,
+    so prefix doubling ranks them: rank the first two symbols of each path,
+    then each round ranks twice as many as the pair (rank here, rank at the
+    ancestor that many steps up), the root's empty path lowest, until the
+    ranks are distinct, as a DFA's words are.  About log2(depth) sorts of n
+    pairs, and no word is built.
+    """
+    parent, symbol = tree
+    pos = d.alphabet.position
+    rank = [0 if s is None else pos[s] + 1 for s in symbol]
+    keys = [(x, rank[u]) for x, u in zip(rank, parent)]
+    up = [parent[u] for u in parent]
+    while True:
+        states = sorted(range(d.n), key=keys.__getitem__)
+        r, last = 0, None
+        for q in states:
+            if keys[q] != last:
+                r, last = r + 1, keys[q]
+            rank[q] = r
+        if r == d.n:
+            break
+        keys = [(x, rank[u]) for x, u in zip(rank, up)]
+        up = [up[u] for u in up]
+    order = WheelerOrder.from_sequence(states)
     return verify_wheeler(d, order) or order
 
 
@@ -246,6 +295,8 @@ class _OrderSearch:
         rounds: a state whose class still waits in this round joins it,
         others wait for the next, so no state is re-keyed twice in a round
         and no more rounds run than full rounds over every class would.
+        A key reads the state's sources from one flat list, and a state
+        with one source skips the min and max.
         """
         cls = list(self.block_of)  # class id of each state
         members = [set(states) for states in self.blocks]
@@ -254,8 +305,14 @@ class _OrderSearch:
             start.append(pos)
             pos += len(states)
 
+        sources = [[u for row in rows for u in row] for rows in self.pred]
+
         def interval(q):
-            ranks = [start[cls[u]] for sources in self.pred[q] for u in sources]
+            us = sources[q]
+            if len(us) == 1:
+                r = start[cls[us[0]]]
+                return (r, r)
+            ranks = [start[cls[u]] for u in us]
             return (min(ranks), max(ranks)) if ranks else (-1, -1)
 
         dirty = {}  # class id -> states to re-key, this round
@@ -332,7 +389,14 @@ class _OrderSearch:
         pairs not known to be in that order, then the closure pairs.  The
         stack holds pairs flat, and a decision is its trail mark and one
         int packing its pair's position and whether its second way is
-        taken.  The node count lives in a local until the loop exits."""
+        taken.  The node count lives in a local until the loop exits.
+
+        A scan that finds p with no out-edges runs on through p's open
+        class mates q while below[p] <= below[q] and above[q] <= above[p]:
+        orienting p before such a q pushes no target pair (p has none) and
+        no closure pair, so the run spends the node, appends the decision
+        and the two trail slots the general path would, and skips the
+        stack.  The first q that fails the test takes the general path."""
         order = [p for states in self.blocks for p in states]  # p in scan order
         n = len(order)
         classes, rank, below, above = self.classes, self.rank, self.below, self.above
@@ -350,12 +414,28 @@ class _OrderSearch:
                         mates = classes[rank[p]]
                         j = j or bisect_right(mates, p)
                         above_p, below_p = above[p], below[p]
-                        while j < len(mates) and (mates[j] in above_p or mates[j] in below_p):
-                            j += 1
-                        if j < len(mates):
+                        while j < len(mates):
                             q = mates[j]
-                            break
-                        k, j = k + 1, 0
+                            if q in above_p or q in below_p:
+                                j += 1
+                            elif sends[p] or not (below_p <= below[q] and above[q] <= above_p):
+                                break
+                            else:  # the sink run: p before q pushes no pair
+                                nodes += 1
+                                if nodes > budget:
+                                    raise SearchBudgetExceeded(
+                                        f"order search passed {budget} nodes")
+                                decisions.append(len(trail))
+                                decisions.append((k * n + j) * 2)
+                                below[q].add(p)
+                                above_p.add(q)
+                                trail.append(p)
+                                trail.append(q)
+                                j += 1
+                        else:
+                            k, j = k + 1, 0
+                            continue
+                        break
                     else:
                         return True
                 mark = len(trail)

@@ -52,6 +52,7 @@ from wheelerkit.wheeler import (
     INPUT_INCONSISTENT,
     ORDER_CONTRADICTION,
     LambdaMap,
+    WheelerOrder,
     WheelerViolation,
     _OrderSearch,
     input_consistency,
@@ -104,6 +105,33 @@ def right_context_equal(min_dfa, alpha, beta):
     if v is None:
         raise WordNotReadable(f"word {' '.join(beta) or 'epsilon'} is not readable")
     return u == v
+
+
+def least_entering_words(d):
+    """The (length, co-lex) least entering word of each state of a trimmed
+    DFA, built symbol by symbol."""
+    entering, _ = shortest_entering_words(d, per_state=1)
+    if not all(entering.values()):
+        raise WheelerkitError("dfa_wheeler_order wants a trimmed automaton")
+    return [ws[0] for ws in entering.values()]
+
+
+def word_colex_candidate(d, words):
+    """The DFA order candidate from words: states sorted by the co-lex key
+    of `words[q]` under `d`'s alphabet order, or the first violation."""
+    key = d.alphabet.colex_key
+    order = WheelerOrder.from_sequence(sorted(range(d.n), key=lambda q: key(words[q])))
+    return verify_wheeler(d, order) or order
+
+
+def word_before(x, y):
+    """Literal for "word x sorts co-lex before word y": the first pair of
+    symbols where they differ, read from the end, or a constant when one
+    word is a suffix of the other."""
+    for s, t in zip(reversed(x), reversed(y)):
+        if s != t:
+            return (s, t)
+    return len(x) < len(y)
 
 
 def relabel_by_order(a, ranks):

@@ -48,7 +48,7 @@ from wheelerkit.wheeler import (
     verify_wheeler,
 )
 from conftest import FIXTURES
-from reference import independent_language_status
+from reference import independent_language_status, least_entering_words, word_before
 from corpus import (enumerate_small_betweenness, random_feasible_dfa, random_trimmed_nfa,
                     random_wheeler_nfa)
 
@@ -131,22 +131,22 @@ def assert_same(f, oracle, *args):
 
 @pytest.fixture
 def exact_pruning(monkeypatch):
-    """Fail when an order that reaches a per-order test fails the part of it
-    that the conflicts encode, so that the searches must prune, not merely
-    return what the exhaustive loops return.  DFA orders that fail
-    `verify_wheeler` are logged instead: each one teaches the search the
-    conflict its violation shows, so no two may fail on the same edges."""
-    def expect(name, value):
-        f = getattr(gw, name)
+    """Fail when `solve_betweenness` returns an order that breaks a triple:
+    its conflicts alone must refute every failing order, as it tests none
+    on its own.  DFA orders that fail `verify_wheeler` are logged: each one
+    teaches the search the conflict its violation shows, so no two may fail
+    on the same edges."""
+    solve = solve_betweenness
 
-        def checked(*args):
-            result = f(*args)
-            assert result == value, (name, args)
-            return result
+    def checked(inst):
+        order = solve(inst)
+        if order is not None:
+            position = {y: i for i, y in enumerate(order)}
+            broken = [t for t in inst.triples if not triple_satisfied(position, t)]
+            assert not broken, (inst, order, broken)
+        return order
 
-        monkeypatch.setattr(gw, name, checked)
-
-    expect("triple_satisfied", True)
+    monkeypatch.setattr(sys.modules[__name__], "solve_betweenness", checked)
     rejected = []
 
     def logged(a, order):
@@ -254,6 +254,23 @@ def test_random_dfas_match_the_oracles(exact_pruning):
         d = random_feasible_dfa(rng, max_n=6, max_sigma=4)
         check_automaton(d, exact_pruning)
         assert_same(gw_language_check, oracle_gw_language, d)
+
+
+def test_learned_literals_walk_the_entering_words_up_the_parent_tree():
+    rng = random.Random(28)
+    dfas = [random_feasible_dfa(rng, max_n=7, max_sigma=4) for _ in range(150)]
+    dfas += [reduce_betweenness_to_dfa(inst).automaton for inst in enumerate_small_betweenness()]
+    literals = set()
+    for d in dfas:
+        if not d.deterministic or isinstance(input_consistency(d), WheelerViolation):
+            continue
+        parent, symbol = wheeler._entering_tree(d, "test")
+        words = least_entering_words(d)
+        for u, v in itertools.product(range(d.n), repeat=2):
+            literal = gw._before(parent, symbol, u, v)
+            assert literal == word_before(words[u], words[v]), (d, u, v)
+            literals.add(literal if isinstance(literal, bool) else "pair")
+    assert literals == {True, False, "pair"}
 
 
 def test_the_dfa_order_and_the_gw_check_share_one_candidate():

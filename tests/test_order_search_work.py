@@ -46,9 +46,31 @@ def chain(n):
                      frozenset((q, "a", q + 1) for q in range(n - 1)))
 
 
+# The sink run's two exits.  Classes {0, 3} and {1, 5}: the run puts the
+# sink 0 before 3, then 1 before 5 fails (1 reaches 0, 5 reaches 4 of an
+# earlier class) and 5 before 1 needs 3 before 0, so backtracking flips the
+# run decision.  With the third sink 6 under 1, the flipped 3 before 0 leaves
+# 0 with a mate below it that 6 lacks, so the run stops at (0, 6) and that
+# pair's closure pushes 3 before 6.
+SINK_RUN_FLIPPED = """alphabet a b
+states 6
+initial 2
+final 0 1 3 4 5
+edge 1 a 0
+edge 1 a 3
+edge 2 b 1
+edge 2 b 5
+edge 3 a 4
+edge 5 a 3
+edge 5 a 4
+"""
+SINK_RUN_STOPPED = SINK_RUN_FLIPPED.replace("states 6", "states 7") + "edge 1 a 6\n"
+
+
 def differential_inputs(fixtures_dir):
     rng = random.Random(13)
-    inputs = [trim_basic(d) for d in corpus_200()]
+    inputs = [parse_automaton(SINK_RUN_FLIPPED), parse_automaton(SINK_RUN_STOPPED)]
+    inputs += [trim_basic(d) for d in corpus_200()]
     inputs += [trim_basic(parse_automaton(path.read_text(encoding="utf-8")))
                for path in sorted(fixtures_dir.glob("*.aut"))]
     inputs += [star(k) for k in range(1, 61)] + [chain(n) for n in (2, 3, 40)]

@@ -1,18 +1,29 @@
+import contextlib
+import io
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from wheelerkit import (
     INITIAL_MARK,
+    Automaton,
     SearchBudgetExceeded,
+    WheelerkitError,
     determinize,
     dfa_wheeler_order,
     input_consistency,
     nfa_wheeler_search,
+    parse_automaton,
+    reduce_betweenness_to_dfa,
     run,
+    trim_basic,
     verify_wheeler,
+    with_alphabet_order,
 )
+from wheelerkit.automaton import serialize_automaton
+from wheelerkit.cli import main
 from wheelerkit.wheeler import (
     CONDITION_II,
     INITIAL_IN_EDGE,
@@ -20,14 +31,27 @@ from wheelerkit.wheeler import (
     LambdaMap,
     WheelerOrder,
     WheelerViolation,
+    _colex_candidate,
+    _entering_tree,
 )
-from reference import is_primitive, path_coherence_check, recheck_violation
+from reference import (
+    is_primitive,
+    least_entering_words,
+    path_coherence_check,
+    recheck_violation,
+    word_colex_candidate,
+)
 from corpus import (
     all_words,
     enumerate_simple_cycles,
+    enumerate_small_betweenness,
+    random_feasible_dfa,
+    random_trie,
     random_trimmed_nfa,
     random_wheeler_nfa,
 )
+from test_acceptance import corpus_200
+from test_order_search_work import chain
 
 
 def test_input_consistency_wdfa6(wdfa6):
@@ -65,6 +89,70 @@ def test_dfa_wheeler_order_condition_ii_failure(notwdfa6):
     assert isinstance(v, WheelerViolation) and v.kind == CONDITION_II
     assert all(e[1] == "c" for e in v.evidence)
     assert recheck_violation(notwdfa6, v, order=_forced_order(notwdfa6))
+
+
+def word_sort_outcome(d):
+    """dfa_wheeler_order as it was: the candidate from materialized words."""
+    lam = input_consistency(d)
+    if isinstance(lam, WheelerViolation):
+        return lam
+    try:
+        return word_colex_candidate(d, least_entering_words(d))
+    except WheelerkitError as exc:
+        return str(exc)
+
+
+def test_the_rank_candidate_matches_the_word_sort(fixtures_dir):
+    # under the listed alphabet order and two shuffled ones, as the GW
+    # check reads one tree under each order it tries
+    rng = random.Random(27)
+    dfas = [trim_basic(parse_automaton(path.read_text()))
+            for path in sorted(fixtures_dir.glob("*.aut"))]
+    dfas += [trim_basic(d) for d in corpus_200()]
+    dfas += [random_feasible_dfa(rng, max_n=7, max_sigma=4) for _ in range(300)]
+    dfas += [random_trie(rng, n) for n in (2, 30, 120)] + [chain(n) for n in (1, 2, 40)]
+    dfas += [reduce_betweenness_to_dfa(inst).automaton for inst in enumerate_small_betweenness()]
+    kinds = set()
+    for d in dfas:
+        if not d.deterministic:
+            continue
+        result = dfa_wheeler_order(d)
+        assert result == word_sort_outcome(d), d
+        kinds.add(type(result))
+        if isinstance(input_consistency(d), WheelerViolation):
+            continue
+        tree, words = _entering_tree(d, "test"), least_entering_words(d)
+        for _ in range(2):
+            r = with_alphabet_order(d, tuple(rng.sample(d.alphabet.symbols, len(d.alphabet))))
+            assert _colex_candidate(r, tree) == word_colex_candidate(r, words), (d, r.alphabet)
+        # a state the initial one does not reach has no entering word
+        unreached = Automaton(d.alphabet, d.n + 1, d.initial, d.finals, d.edges)
+        with pytest.raises(WheelerkitError, match="^dfa_wheeler_order wants a trimmed"):
+            dfa_wheeler_order(unreached)
+        assert word_sort_outcome(unreached) == "dfa_wheeler_order wants a trimmed automaton"
+    assert kinds == {WheelerOrder, WheelerViolation}
+
+
+def test_a_long_path_is_ordered_without_its_words(tmp_path):
+    # the least entering words of an n-state path hold n(n-1)/2 symbols,
+    # 96.6 MB of tuples at n = 5,000, where the ranks take O(n)
+    a = chain(5000)
+    path = tmp_path / "path.aut"
+    path.write_text(serialize_automaton(a))
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        assert dfa_wheeler_order(a).ranks == tuple(range(5000))
+        _, order_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with contextlib.redirect_stdout(out):
+            assert main(["check-dfa", str(path)]) == 0
+        _, cli_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "verdict: wheeler\norder.0: 0\n" in out.getvalue()
+    assert order_peak < 10 * 2 ** 20, f"{order_peak / 2 ** 20:.1f} MiB"
+    assert cli_peak < 20 * 2 ** 20, f"{cli_peak / 2 ** 20:.1f} MiB"
 
 
 def _forced_order(a):
