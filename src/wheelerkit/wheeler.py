@@ -23,15 +23,15 @@ one loop that scans, decides and propagates with no call or tuple per node,
 and propagation pushes only pairs it does not know yet.  A state with no
 out-edges is oriented before its open class mates in one run while that
 pushes no pair, with the same decisions, trail and node count as one pair
-at a time.
+at a time; the run's test reads only the mates after that state.  A
+candidate order is verified in one pass over the edges.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 
 from .alphabet import INITIAL_MARK
 from .errors import (InternalDisagreement, NotDeterministic, SearchBudgetExceeded,
@@ -59,7 +59,7 @@ class WheelerOrder:
         return WheelerOrder(tuple(ranks))
 
     def sequence(self):
-        return tuple(sorted(range(len(self.ranks)), key=lambda q: self.ranks[q]))
+        return WheelerOrder.from_sequence(self.ranks).ranks  # the inverse permutation
 
 
 @dataclass(frozen=True)
@@ -110,55 +110,66 @@ def verify_wheeler(a, order):
     """Check a candidate order against the Wheeler conditions.
 
     Returns None when the order is valid, otherwise the first violation in a
-    deterministic sweep.  Works for NFAs and DFAs alike.
+    deterministic sweep.  Works for NFAs and DFAs alike.  One pass over the
+    edges keeps the least and largest target rank per (label, source rank),
+    and one sweep over those in order checks (i) and (ii).
     """
-    ranks = order.ranks
-    if len(ranks) != a.n or sorted(ranks) != list(range(a.n)):
+    ranks, n = order.ranks, a.n
+    if len(ranks) != n or sorted(ranks) != list(range(n)):
         return WheelerViolation(
             ORDER_CONTRADICTION, tuple(ranks), "ranking is not a bijection onto 0..n-1")
     if ranks[a.initial] != 0:
         return WheelerViolation(
             ORDER_CONTRADICTION, (a.initial,), "the initial state is not the minimum")
-    edge = min((e for e in a.edges if e[2] == a.initial), default=None)
-    if edge is not None:
+    symbols = a.alphabet.symbols
+    base = {sym: i * n for i, sym in enumerate(symbols)}
+    lo, hi = {}, {}  # label position * n + source rank -> least, largest target rank
+    for u, sym, v in a.edges:
+        key, t = base[sym] + ranks[u], ranks[v]
+        if t < lo.get(key, n):
+            lo[key] = t
+        if t > hi.get(key, -1):
+            hi[key] = t
+    if 0 in lo.values():  # rank 0 is the initial state's
+        edge = min(e for e in a.edges if e[2] == a.initial)
         return WheelerViolation(
             INITIAL_IN_EDGE, (edge,), f"edge {edge} enters the initial state")
 
-    by_label = {}
-    for e in a.edges:
-        by_label.setdefault(e[1], []).append(e)
-
+    # per nonempty label: [least target, its least key, largest target, its largest key]
+    blocks, crossing, label = [], None, -1
+    for key in sorted(lo):
+        least, most = lo[key], hi[key]
+        if key // n != label:
+            label, best, best_key = key // n, most, key
+            blocks.append(block := [least, key, most, key])
+            continue
+        if least < block[0]:
+            block[0], block[1] = least, key
+        if most >= block[2]:
+            block[2], block[3] = most, key
+        if best > least and crossing is None:  # (ii): a target below one of an earlier source
+            crossing = (best_key, best, key, least)
+        if most > best:
+            best, best_key = most, key
     # (i): all targets of an a-block must lie strictly below all targets of a
     # b-block when a < b; checking consecutive nonempty blocks suffices.
-    prev_max = None
-    for sym in a.alphabet.symbols:
-        block = by_label.get(sym)
-        if not block:
-            continue
-        lo = min(block, key=lambda e: (ranks[e[2]], ranks[e[0]]))
-        hi = max(block, key=lambda e: (ranks[e[2]], ranks[e[0]]))
-        if prev_max is not None and ranks[prev_max[2]] >= ranks[lo[2]]:
-            return WheelerViolation(
-                CONDITION_I, (prev_max, lo),
-                f"{prev_max} does not precede {lo} despite the smaller label")
-        prev_max = hi
+    bad = next(((x, y) for x, y in zip(blocks, blocks[1:]) if x[2] >= y[0]), None)
+    if bad is None and crossing is None:
+        return None
+    state = order.sequence()
 
-    # (ii): within one label, targets may not decrease as sources increase.
-    for sym in a.alphabet.symbols:
-        block = by_label.get(sym)
-        if not block:
-            continue
-        block.sort(key=lambda e: (ranks[e[0]], ranks[e[2]]))
-        best = None  # edge with the largest target seen at a strictly smaller source
-        for _, group in groupby(block, key=itemgetter(0)):
-            group = list(group)
-            if best is not None and ranks[best[2]] > ranks[group[0][2]]:
-                return WheelerViolation(
-                    CONDITION_II, (best, group[0]),
-                    f"{best} and {group[0]} share label {sym} but cross the order")
-            if best is None or ranks[group[-1][2]] > ranks[best[2]]:
-                best = group[-1]
-    return None
+    def edge(key, t):
+        return (state[key % n], symbols[key // n], state[t])
+
+    if bad is not None:
+        prev_max, first = edge(bad[0][3], bad[0][2]), edge(bad[1][1], bad[1][0])
+        return WheelerViolation(
+            CONDITION_I, (prev_max, first),
+            f"{prev_max} does not precede {first} despite the smaller label")
+    larger, smaller = edge(*crossing[:2]), edge(*crossing[2:])
+    return WheelerViolation(
+        CONDITION_II, (larger, smaller),
+        f"{larger} and {smaller} share label {smaller[1]} but cross the order")
 
 
 def dfa_wheeler_order(d):
@@ -217,7 +228,8 @@ def _colex_candidate(d, tree):
     parent, symbol = tree
     pos = d.alphabet.position
     rank = [0 if s is None else pos[s] + 1 for s in symbol]
-    keys = [(x, rank[u]) for x, u in zip(rank, parent)]
+    m = max(d.n, len(pos)) + 1  # (rank, rank) pairs packed as rank * m + rank
+    keys = [x * m + rank[u] for x, u in zip(rank, parent)]
     up = [parent[u] for u in parent]
     while True:
         states = sorted(range(d.n), key=keys.__getitem__)
@@ -228,7 +240,7 @@ def _colex_candidate(d, tree):
             rank[q] = r
         if r == d.n:
             break
-        keys = [(x, rank[u]) for x, u in zip(rank, up)]
+        keys = [x * m + rank[u] for x, u in zip(rank, up)]
         up = [up[u] for u in up]
     order = WheelerOrder.from_sequence(states)
     return verify_wheeler(d, order) or order
@@ -248,12 +260,13 @@ class _OrderSearch:
     pairs not yet known, so each node orients a pair or finds a
     contradiction, bar pairs that another step orients while they wait on
     the stack.  The search keeps no edge map: it reads the automaton's
-    `succ` and `pred`, taking out-edges by symbol name, which fixes the
-    order of the work and so the node counts.  Decisions live on an
-    explicit stack, so memory is O(states + edges + oriented pairs): an
-    oriented pair is two set entries and two slots of the flat trail, and
-    a decision two list slots and two ints, about 270 bytes per node at
-    the tracemalloc peak of a 2,000-leaf star that runs out of budget.
+    `succ`, taking out-edges by symbol name, which fixes the order of the
+    work and so the node counts, and one list of sources per state.
+    Decisions live on an explicit stack, so memory is O(states + edges +
+    oriented pairs): an oriented pair is two set entries and two slots of
+    the flat trail, and a decision two list slots and two ints, about 270
+    bytes per node at the tracemalloc peak of a 2,000-leaf star that runs
+    out of budget.
     """
 
     def __init__(self, a, blocks, budget):
@@ -264,7 +277,10 @@ class _OrderSearch:
         for bi, states in enumerate(blocks):
             for q in states:
                 self.block_of[q] = bi
-        self.succ, self.pred = a.succ, a.pred
+        self.succ = a.succ
+        self.sources = [[] for _ in range(a.n)]  # in-edge sources; one in-label each
+        for u, _, v in a.edges:
+            self.sources[v].append(u)
         self.sends = [any(row) for row in a.succ]  # has out-edges
         self.by_name = sorted(range(len(a.alphabet)), key=a.alphabet.symbols.__getitem__)
         self.rank = list(self.block_of)  # class position; classes refine blocks
@@ -295,8 +311,10 @@ class _OrderSearch:
         rounds: a state whose class still waits in this round joins it,
         others wait for the next, so no state is re-keyed twice in a round
         and no more rounds run than full rounds over every class would.
-        A key reads the state's sources from one flat list, and a state
-        with one source skips the min and max.
+        A key reads the state's sources from one flat list, built in one
+        pass over the edges, and a state with one source skips the min and
+        max.  Classes with one state skip the sort; the same loop then
+        assigns dense ranks and checks the fixpoint.
         """
         cls = list(self.block_of)  # class id of each state
         members = [set(states) for states in self.blocks]
@@ -304,8 +322,7 @@ class _OrderSearch:
         for states in self.blocks:
             start.append(pos)
             pos += len(states)
-
-        sources = [[u for row in rows for u in row] for rows in self.pred]
+        sources, succ, by_name = self.sources, self.succ, self.by_name
 
         def interval(q):
             us = sources[q]
@@ -315,18 +332,19 @@ class _OrderSearch:
             ranks = [start[cls[u]] for u in us]
             return (min(ranks), max(ranks)) if ranks else (-1, -1)
 
-        dirty = {}  # class id -> states to re-key, this round
-        later = {c: set(states) for c, states in enumerate(members) if len(states) > 1}
+        dirty = defaultdict(set)  # class id -> states to re-key, this round
+        later = defaultdict(set, {c: set(states) for c, states in enumerate(members)
+                                  if len(states) > 1})
         while dirty or later:
             if not dirty:
-                dirty, later = later, {}
+                dirty, later = later, defaultdict(set)
             c, keyed = dirty.popitem()
             self.count(len(keyed))
             rest = members[c]
             rest -= keyed
-            parts = {}
+            parts = defaultdict(set)
             for q in keyed:
-                parts.setdefault(interval(q), set()).add(q)
+                parts[interval(q)].add(q)
             if rest:  # they share one key; pop() finds one of them in O(1),
                 # where next(iter(rest)) would scan the slots emptied above
                 r = rest.pop()
@@ -344,35 +362,38 @@ class _OrderSearch:
                 if part is largest:
                     members[c], start[c] = part, pos
                 else:
+                    d = len(members)
                     for q in part:
-                        cls[q] = len(members)
+                        cls[q] = d
                     members.append(part)
                     start.append(pos)
                 pos += len(part)
             for part in order:
                 if part is not largest:
                     for q in part:
-                        for r in self.by_name:
-                            for v in self.succ[q][r]:
+                        row = succ[q]
+                        for r in by_name:
+                            for v in row[r]:
                                 d = cls[v]
                                 if len(members[d]) > 1:
-                                    pending = dirty if d in dirty else later
-                                    pending.setdefault(d, set()).add(v)
-        self.classes = [sorted(members[c]) for c in sorted(range(len(members)),
-                                                            key=start.__getitem__)]
-        for r, states in enumerate(self.classes):
-            for q in states:
-                self.rank[q] = r
+                                    (dirty if d in dirty else later)[d].add(v)
         # A class of two or more with lo < hi has each state before the other;
         # a class whose lo lies below an earlier class's hi (same block) has a
         # state before one of an earlier class.  Otherwise cross-class source
         # pairs only push cross-class target pairs, and those agree with rank.
+        classes, rank, block_of = [], self.rank, self.block_of
+        self.classes = classes
         top = None  # (block, hi) of the previous class, the block's largest hi
-        for states in self.classes:
+        for c in sorted(range(len(members)), key=start.__getitem__):
+            states, r = members[c], len(classes)
+            states = sorted(states) if len(states) > 1 else list(states)
+            for q in states:
+                rank[q] = r
+            classes.append(states)
             lo, hi = interval(states[0])
             if len(states) > 1 and lo != hi:
                 return False
-            block = self.block_of[states[0]]
+            block = block_of[states[0]]
             if top is not None and top[0] == block and top[1] > lo:
                 return False
             top = (block, hi)
@@ -396,14 +417,19 @@ class _OrderSearch:
         orienting p before such a q pushes no target pair (p has none) and
         no closure pair, so the run spends the node, appends the decision
         and the two trail slots the general path would, and skips the
-        stack.  The first q that fails the test takes the general path."""
+        stack.  The first q that fails the test takes the general path.
+        The first test reads only the mates after p, collected once per p,
+        which is exact: every pair with a mate before p is oriented and the
+        relation is closed, so an r before p below p is below q, or q would
+        precede p.  The second has failed on no input tried, and stays as a
+        guard."""
         order = [p for states in self.blocks for p in states]  # p in scan order
         n = len(order)
         classes, rank, below, above = self.classes, self.rank, self.below, self.above
         succ, sends, by_name = self.succ, self.sends, self.by_name
         budget, nodes, trail = self.budget, self.nodes, self.trail
         stack, decisions = [], []
-        push, pop = stack.append, stack.pop
+        push, pop, decide, record = stack.append, stack.pop, decisions.append, trail.append
         k = j = 0  # scan position: order[k] and its class mate at j (0: the first after it)
         flipped = False
         try:
@@ -414,24 +440,30 @@ class _OrderSearch:
                         mates = classes[rank[p]]
                         j = j or bisect_right(mates, p)
                         above_p, below_p = above[p], below[p]
+                        later = None  # mates after p known to precede it, once p runs
                         while j < len(mates):
                             q = mates[j]
                             if q in above_p or q in below_p:
                                 j += 1
-                            elif sends[p] or not (below_p <= below[q] and above[q] <= above_p):
+                                continue
+                            if later is None:
+                                if sends[p]:
+                                    break
+                                later = {r for r in below_p if r > p}
+                            below_q = below[q]
+                            if not (later <= below_q and above[q] <= above_p):
                                 break
-                            else:  # the sink run: p before q pushes no pair
-                                nodes += 1
-                                if nodes > budget:
-                                    raise SearchBudgetExceeded(
-                                        f"order search passed {budget} nodes")
-                                decisions.append(len(trail))
-                                decisions.append((k * n + j) * 2)
-                                below[q].add(p)
-                                above_p.add(q)
-                                trail.append(p)
-                                trail.append(q)
-                                j += 1
+                            # the sink run: p before q pushes no pair
+                            nodes += 1
+                            if nodes > budget:
+                                raise SearchBudgetExceeded(f"order search passed {budget} nodes")
+                            decide(len(trail))
+                            decide((k * n + j) * 2)
+                            below_q.add(p)
+                            above_p.add(q)
+                            record(p)
+                            record(q)
+                            j += 1
                         else:
                             k, j = k + 1, 0
                             continue
@@ -461,8 +493,8 @@ class _OrderSearch:
                     above_x = above[x]
                     below_y.add(x)
                     above_x.add(y)
-                    trail.append(x)
-                    trail.append(y)
+                    record(x)
+                    record(y)
                     if sends[x] and sends[y]:
                         row_x, row_y = succ[x], succ[y]
                         for r in by_name:
@@ -484,8 +516,8 @@ class _OrderSearch:
                                 push(x)
                                 push(r)
                 else:
-                    decisions.append(mark)
-                    decisions.append((k * n + j) * 2 + flipped)
+                    decide(mark)
+                    decide((k * n + j) * 2 + flipped)
                     flipped = False
                     continue
                 stack.clear()
@@ -506,9 +538,14 @@ class _OrderSearch:
             self.nodes = nodes
 
     def extract_order(self):
-        states = sorted(range(len(self.rank)),
-                        key=lambda q: (self.rank[q], len(self.below[q])))
-        return WheelerOrder.from_sequence(states)
+        """The order `solve` left: each class in rank order, and inside one
+        the state with i mates below it at the class's i-th position."""
+        ranks, below, pos = [0] * len(self.rank), self.below, 0
+        for states in self.classes:
+            for q in states:
+                ranks[q] = pos + len(below[q])
+            pos += len(states)
+        return WheelerOrder(tuple(ranks))
 
 
 def label_blocks(a, lam):
@@ -516,12 +553,10 @@ def label_blocks(a, lam):
     state's first), each listed by id."""
     if None in lam.labels:
         raise WheelerkitError("nfa_wheeler_search wants a trimmed automaton")
-    label_rank = {INITIAL_MARK: -1}
-    label_rank.update(a.alphabet.position)
-    grouped = {}
-    for q in range(a.n):
-        grouped.setdefault(label_rank[lam[q]], []).append(q)
-    return [sorted(grouped[r]) for r in sorted(grouped)]
+    grouped = defaultdict(list)
+    for q, label in enumerate(lam.labels):
+        grouped[label].append(q)
+    return [grouped[INITIAL_MARK]] + [grouped[s] for s in a.alphabet.symbols if s in grouped]
 
 
 def nfa_wheeler_search(a, budget=DEFAULT_BUDGET):

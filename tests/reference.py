@@ -660,7 +660,7 @@ class RoundOrderSearch(PairOrderSearch):
 
     def interval(self, q):
         """(min, max) rank of the sources of q's in-edges."""
-        ranks = [self.rank[u] for sources in self.pred[q] for u in sources]
+        ranks = [self.rank[u] for u in self.sources[q]]
         return (min(ranks), max(ranks)) if ranks else (-1, -1)
 
     def refine(self):

@@ -10,10 +10,15 @@ import random
 
 from wheelerkit import (
     Automaton,
+    dfa_wheeler_order,
+    gw_automaton_check,
     input_consistency,
+    nfa_wheeler_search,
     parse_automaton,
+    reduce_betweenness_to_dfa,
     verify_wheeler,
 )
+from wheelerkit import wheeler
 from wheelerkit.automaton import with_alphabet_order
 from wheelerkit.wheeler import (
     CONDITION_I,
@@ -23,11 +28,14 @@ from wheelerkit.wheeler import (
     ORDER_CONTRADICTION,
     LambdaMap,
     WheelerOrder,
+    _colex_candidate,
+    _entering_tree,
 )
-from corpus import random_trimmed_nfa, random_wheeler_nfa
+from corpus import (enumerate_small_betweenness, random_trie, random_trimmed_nfa,
+                    random_wheeler_nfa)
 from reference import indexed_input_consistency, indexed_verify_wheeler
 from test_acceptance import corpus_200
-from test_order_search import random_consistent_nfa, shuffled
+from test_order_search import random_consistent_nfa, shuffled, star
 
 
 def shuffled_header(rng, a):
@@ -89,6 +97,58 @@ def test_verify_wheeler_matches_the_indexed_check(fixtures_dir):
             assert got == indexed_verify_wheeler(a, order)
             seen[kind(got)] += 1
     for k in (ORDER_CONTRADICTION, INITIAL_IN_EDGE, CONDITION_I, CONDITION_II, "none"):
+        assert seen[k] >= 100, seen
+
+
+def gadget_copies(monkeypatch, rng):
+    """(copy, co-lex candidate) for each copy of a small betweenness gadget
+    that `gw_automaton_check` verifies, one per alphabet order it tries, and
+    for 20 more alphabet orders per gadget drawn at random."""
+    seen = []
+
+    def spy(a, order):
+        seen.append((a, order))
+        return verify_wheeler(a, order)
+
+    with monkeypatch.context() as m:
+        m.setattr(wheeler, "verify_wheeler", spy)
+        for inst in enumerate_small_betweenness():
+            gadget = reduce_betweenness_to_dfa(inst).automaton
+            gw_automaton_check(gadget)
+            tree = _entering_tree(gadget, "gadget_copies")
+            for _ in range(20):
+                _colex_candidate(shuffled_header(rng, gadget), tree)
+    return seen
+
+
+def test_verify_wheeler_matches_on_gadget_copies_tries_and_stars(monkeypatch):
+    # the inputs the benchmark verifies: each gadget copy with the co-lex
+    # candidate its alphabet order gives, and tries of 200 to 400 states and
+    # stars of 10 to 60 leaves with their Wheeler order; each also with that
+    # order's neighbours (two adjacent states swapped) and the candidate
+    # orders above
+    rng = random.Random(37)
+    cases = gadget_copies(monkeypatch, rng)
+    assert len(cases) >= 24 * 20 + 90
+    for a in [random_trie(rng, n) for n in (200, 250, 300, 400)] + [
+            star(k) for k in range(10, 61, 10)]:
+        order = dfa_wheeler_order(a) if a.deterministic else nfa_wheeler_search(a)
+        cases.append((a, order))
+    seen = collections.Counter()
+    for a, order in cases:
+        states = list(order.sequence())
+        orders = [states] + list(candidate_orders(rng, a, input_consistency(a)))
+        after_initial = range(1, a.n - 1)
+        for i in rng.sample(after_initial, min(len(after_initial), 8)):
+            swapped = list(states)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            orders.append(swapped)
+        for states in orders:
+            order = WheelerOrder.from_sequence(states)
+            got = verify_wheeler(a, order)
+            assert got == indexed_verify_wheeler(a, order)
+            seen[kind(got)] += 1
+    for k in (ORDER_CONTRADICTION, CONDITION_I, CONDITION_II, "none"):
         assert seen[k] >= 100, seen
 
 

@@ -66,10 +66,46 @@ edge 5 a 4
 """
 SINK_RUN_STOPPED = SINK_RUN_FLIPPED.replace("states 6", "states 7") + "edge 1 a 6\n"
 
+# A later mate below the sink.  Classes {1, 2} and {3, 4, 5}: deciding 1
+# before 2 pushes 4 before 3 and 4 before 5, so when the scan reaches the
+# sink 3, its mate 4, after it by id, already precedes it; 4 precedes 5 too,
+# so the run still puts 3 before 5.
+SINK_RUN_LATER_BELOW = """alphabet a
+states 6
+initial 0
+final 3 4 5
+edge 0 a 1
+edge 0 a 2
+edge 1 a 4
+edge 2 a 3
+edge 2 a 5
+"""
+
+# A later mate below the sink that stops the run.  Classes {3, 4, 5, 6} and
+# {1, 2}: the leaves' rows put them in id order, and then 1 before 2 (it
+# puts 5 and 6 before 4) and 2 before 1 (4 before 3) both fail until
+# backtracking flips 4 before 5.  The sink 4 then has its later mate 5
+# below it while 6 is open with both, so the run stops at (4, 6), and that
+# pair's closure pushes 5 before 6.  A run that skipped the test of the
+# later mates would orient 4 before 6 alone and take two more nodes.
+SINK_RUN_LATER_BELOW_STOPS = """alphabet a b
+states 7
+initial 0
+final 3 4 5 6
+edge 0 b 1
+edge 0 b 2
+edge 1 a 3
+edge 1 a 5
+edge 1 a 6
+edge 2 a 4
+"""
+
 
 def differential_inputs(fixtures_dir):
     rng = random.Random(13)
-    inputs = [parse_automaton(SINK_RUN_FLIPPED), parse_automaton(SINK_RUN_STOPPED)]
+    inputs = [parse_automaton(text)
+              for text in (SINK_RUN_FLIPPED, SINK_RUN_STOPPED, SINK_RUN_LATER_BELOW,
+                           SINK_RUN_LATER_BELOW_STOPS)]
     inputs += [trim_basic(d) for d in corpus_200()]
     inputs += [trim_basic(parse_automaton(path.read_text(encoding="utf-8")))
                for path in sorted(fixtures_dir.glob("*.aut"))]
@@ -145,6 +181,54 @@ def test_the_decision_loop_matches_the_pair_search_node_for_node(fixtures_dir):
                 assert search.nodes == reference.nodes, f"{a} at budget {budget}"
             outcomes.add(got[0])
     assert outcomes == {"order", "none", "violation", "budget"}
+
+
+class ScanCheckingSearch(PairOrderSearch):
+    """`PairOrderSearch` that checks, at each open pair p, q its scan finds,
+    that every state above q is above p, and counts the pairs where p
+    already has a mate after it below it."""
+
+    later_below = 0
+
+    def next_open(self, bi, i, j):
+        pos = super().next_open(bi, i, j)
+        if pos is not None:
+            p = self.blocks[pos[0]][pos[1]]
+            q = self.classes[self.rank[p]][pos[2]]
+            assert self.above[q] <= self.above[p], (p, q)
+            self.later_below += any(r > p for r in self.below[p])
+        return pos
+
+
+def test_every_state_above_an_open_pairs_second_is_above_its_first(fixtures_dir):
+    # The scan reaches an open pair p, q with every pair that has a mate
+    # before p oriented and the relation closed, so a state above q but not
+    # above p would be a later mate r with q before r while p and r are
+    # open.  No input here, nor any of 70,000 random consistent NFAs of up
+    # to 30 states, has one: the sink run's test above[q] <= above[p] never
+    # fails on them, and the run keeps it as a guard.  Pairs whose p has a
+    # later mate below it, which the run's other test reads, do occur.
+    later_below = 0
+    for a in differential_inputs(fixtures_dir):
+        search = order_search(a, 10 ** 6, ScanCheckingSearch)[1]
+        later_below += search is not None and search.later_below
+    assert later_below
+
+
+def test_the_order_is_read_off_the_classes(fixtures_dir):
+    # extract_order places each state at its class's start plus the number
+    # of mates below it, as sorting by (rank, mates below) did
+    orders = 0
+    for a in differential_inputs(fixtures_dir):
+        lam = input_consistency(a)
+        if isinstance(lam, WheelerViolation):
+            continue
+        search = _OrderSearch(a, label_blocks(a, lam), 10 ** 6)
+        if search.refine() and search.solve():
+            states = sorted(range(a.n), key=lambda q: (search.rank[q], len(search.below[q])))
+            assert search.extract_order() == WheelerOrder.from_sequence(states), a
+            orders += 1
+    assert orders >= 500
 
 
 def test_memory_per_node_on_a_star_out_of_budget():
