@@ -127,52 +127,32 @@ def dfa_walk(d, w, start=None):
     return q
 
 
-def shortest_entering_words(d, per_state=None, max_len=None, budget=None):
-    """Words entering each state of a DFA, by (length, co-lex), best first.
-
-    Keeps the first `per_state` words of each state (all when None), extends
-    no word past `max_len`, and stops after `budget` words are taken off the
-    frontier.  Returns the words per state and whether the budget cut the
-    walk short.  This drains `entering_layers`, which takes the words one
-    length layer at a time.
-    """
-    words = {q: [] for q in range(d.n)}
-    truncated = any(entering_layers(d, words, per_state, max_len, budget))
-    return {q: tuple(ws) for q, ws in words.items()}, truncated
-
-
-def entering_layers(d, words, per_state=None, max_len=None, budget=None):
-    """The walk of `shortest_entering_words`, resumable: appends the words
-    entering each state to the lists in `words` (state -> list) and yields
-    after each length layer, False once the layer is all taken, or True,
-    last, when the budget cut it short.
+def entering_layers(d, words, max_len, budget):
+    """Every word entering each state of a DFA, by (length, co-lex): appends
+    them to the lists in `words` (state -> list), extends none past
+    `max_len`, and yields after each length layer, False once it is all
+    taken, or True, last, when it would take more than `budget` words.
 
     In a DFA each word reaches one state, and the co-lex key of w + (s,) is
     the rank of s followed by the key of w, so the next layer in co-lex
     order is, per symbol in rank order, the extensions of the current layer
-    in its order.  A word is settled when taken, not when its parent extends
-    it: a later word of the parent's layer may take the last place of its
-    state first.
+    in its order.
     """
     syms = d.alphabet.symbols
     layer = [((), d.initial)]
-    pops = 0
     while layer:
         children = [[] for _ in syms]
         for w, q in layer:
-            pops += 1
-            if budget is not None and pops > budget:
+            budget -= 1
+            if budget < 0:
                 yield True
                 return
-            if per_state is not None and len(words[q]) >= per_state:
-                continue
             words[q].append(w)
-            if max_len is not None and len(w) >= max_len:
+            if len(w) >= max_len:
                 continue
             for i, targets in enumerate(d.succ[q]):
                 for t in targets:
-                    if per_state is None or len(words[t]) < per_state:
-                        children[i].append((w + (syms[i],), t))
+                    children[i].append((w + (syms[i],), t))
         layer = [child for group in children for child in group]
         yield False
 

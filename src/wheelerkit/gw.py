@@ -262,11 +262,6 @@ def serialize_betweenness(inst):
     return "\n".join(lines) + "\n"
 
 
-def triple_satisfied(position, triple):
-    a, b, c = (position[x] for x in triple)
-    return a < b < c or a > b > c
-
-
 def solve_betweenness(inst):
     """First satisfying order, in permutation order, or None.
 

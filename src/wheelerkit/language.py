@@ -136,13 +136,13 @@ class WitnessCandidates:
     """Order-independent raw material for the witness search.
 
     `gammas` maps each candidate cycle word to the anchor pairs it cycles at;
-    `entering` lists the words taken so far that reach each state, shortest
-    first.  They are taken lazily, one length layer at a time, by `walk`, an
-    `entering_layers` walk of the DFA the candidates were collected from
-    (None once it has ended); `layers` counts the layers taken whole.  `truncated` records that some
-    enumeration hit its work budget, in which case an empty search result is
-    not a coverage claim; a budget cut of the walk shows there once `take`
-    has run the walk to its end.
+    `entering` lists the words taken so far that reach each state, by
+    (length, co-lex); `walk`, the `entering_layers` walk of the DFA they
+    were collected from, up to the longest gamma, takes them one length
+    layer at a time (None once it has ended), and `layers` counts the layers
+    taken whole.  `truncated` records that some enumeration hit its work
+    budget, in which case an empty search result is not a coverage claim; a
+    budget cut of the walk shows there once `take` has run it to its end.
     """
 
     gammas: dict
@@ -244,7 +244,7 @@ def collect_candidates(min_dfa, caps):
                 max_gamma = max(max_gamma, len(gamma))
 
     entering = {q: [] for q in range(n)}
-    walk = entering_layers(min_dfa, entering, max_len=max_gamma, budget=caps.path_count_cap)
+    walk = entering_layers(min_dfa, entering, max_gamma, caps.path_count_cap)
     return WitnessCandidates(gammas=gammas, entering=entering, truncated=truncated, walk=walk)
 
 

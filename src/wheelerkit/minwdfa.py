@@ -143,7 +143,7 @@ def compute_fingerprint(min_dfa, prefixes):
     return Fingerprint(tuple(reps))
 
 
-def colex_class_runs(min_dfa, depth, word_cap=DEFAULT_WORD_CAP):
+def colex_class_runs(min_dfa, depth, word_cap):
     """compute_fingerprint(min_dfa, enumerate_prefixes(min_dfa, depth)),
     folded over the trie of reversed readable words without listing them.
 

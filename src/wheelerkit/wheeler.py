@@ -188,10 +188,10 @@ def dfa_wheeler_order(d):
 
 def _entering_tree(d, caller):
     """(parent, symbol) per state of a trimmed DFA: its (length, co-lex)
-    least entering word is its parent's plus that symbol.  The walk is
-    `entering_layers(per_state=1)`'s with states in place of words, so it
-    picks the same words; the initial state is its own parent, with symbol
-    None."""
+    least entering word is its parent's plus that symbol, the least symbol
+    into it from the previous length layer and, for that symbol, the layer's
+    co-lex first source (the tests check the words against a Dijkstra walk
+    over words).  The initial state is its own parent, with symbol None."""
     syms = d.alphabet.symbols
     parent, symbol = [None] * d.n, [None] * d.n
     parent[d.initial] = d.initial

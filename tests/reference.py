@@ -1,12 +1,14 @@
 """Reference definitions the tests check the library against.
 
 These are direct, unoptimised statements of the paper's definitions (co-lex
-comparison, primitivity, Myhill-Nerode equality, path coherence), the
+comparison, primitivity, Myhill-Nerode equality, path coherence, betweenness),
+a (length, co-lex) Dijkstra walk over the words entering each state, the
 validators the witness tests need, and the slow paths that faster library
 code replaced.  Nothing in the library calls them, so they live with the
 tests rather than in the package.
 """
 
+import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -21,7 +23,7 @@ from wheelerkit import (
     trim_basic,
 )
 from wheelerkit.alphabet import INITIAL_MARK, is_suffix
-from wheelerkit.automaton import empty_language_automaton, shortest_entering_words
+from wheelerkit.automaton import empty_language_automaton, entering_layers
 from wheelerkit.errors import (
     InfeasibleEnumeration,
     InternalDisagreement,
@@ -107,10 +109,38 @@ def right_context_equal(min_dfa, alpha, beta):
     return u == v
 
 
+def heap_entering_words(a, per_state=None, max_len=None, budget=None):
+    """Words entering each state of a DFA by a (length, co-lex) Dijkstra
+    over words: the first `per_state` words of each state (all when None),
+    none extended past `max_len`, stopping after `budget` words are taken
+    off the heap.  Returns the words per state and whether the budget cut
+    the walk short."""
+    syms = a.alphabet.symbols
+    words = {q: [] for q in range(a.n)}
+    heap = [(0, (), a.initial)]
+    pops = 0
+    while heap:
+        pops += 1
+        if budget is not None and pops > budget:
+            return {q: tuple(ws) for q, ws in words.items()}, True
+        _, kw, q = heapq.heappop(heap)
+        if per_state is not None and len(words[q]) >= per_state:
+            continue
+        w = tuple(syms[i] for i in reversed(kw))
+        words[q].append(w)
+        if max_len is not None and len(w) >= max_len:
+            continue
+        for i, targets in enumerate(a.succ[q]):
+            for t in targets:
+                if per_state is None or len(words[t]) < per_state:
+                    heapq.heappush(heap, (len(w) + 1, (i,) + kw, t))
+    return {q: tuple(ws) for q, ws in words.items()}, False
+
+
 def least_entering_words(d):
     """The (length, co-lex) least entering word of each state of a trimmed
-    DFA, built symbol by symbol."""
-    entering, _ = shortest_entering_words(d, per_state=1)
+    DFA, from the heap walk."""
+    entering, _ = heap_entering_words(d, per_state=1)
     if not all(entering.values()):
         raise WheelerkitError("dfa_wheeler_order wants a trimmed automaton")
     return [ws[0] for ws in entering.values()]
@@ -122,6 +152,13 @@ def word_colex_candidate(d, words):
     key = d.alphabet.colex_key
     order = WheelerOrder.from_sequence(sorted(range(d.n), key=lambda q: key(words[q])))
     return verify_wheeler(d, order) or order
+
+
+def triple_satisfied(position, triple):
+    """Betweenness: the middle element of `triple` lies between the other
+    two under `position` (element -> index)."""
+    a, b, c = (position[x] for x in triple)
+    return a < b < c or a > b > c
 
 
 def word_before(x, y):
@@ -330,8 +367,8 @@ def eager_witness_verdict(min_dfa, caps):
     before any gamma is tested."""
     candidates = collect_candidates(min_dfa, caps)
     max_gamma = max(map(len, candidates.gammas), default=0)
-    entering, walk_cut = shortest_entering_words(
-        min_dfa, max_len=max_gamma, budget=caps.path_count_cap)
+    entering = {q: [] for q in range(min_dfa.n)}
+    walk_cut = any(entering_layers(min_dfa, entering, max_gamma, caps.path_count_cap))
     witness = eager_search_witness(min_dfa, candidates.gammas, entering)
     if witness is not None:
         return LanguageVerdict(NOT_WHEELER, witness=witness, caps=caps)

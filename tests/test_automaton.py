@@ -1,4 +1,3 @@
-import heapq
 import random
 import tracemalloc
 
@@ -24,8 +23,10 @@ from wheelerkit import (
     trim_basic,
     word,
 )
-from wheelerkit.automaton import shortest_entering_words
-from reference import WordNotReadable, right_context_equal, two_step_minimize
+from wheelerkit.automaton import entering_layers
+from wheelerkit.wheeler import _entering_tree
+from reference import (WordNotReadable, heap_entering_words, right_context_equal,
+                       two_step_minimize)
 from conftest import make
 from corpus import (SYMS, all_words, enumerate_small_betweenness, random_feasible_dfa,
                     random_trimmed_nfa)
@@ -245,49 +246,37 @@ def test_to_dot_mentions_every_state_and_edge(wdfa6):
     assert '0 -> 1 [label="a"]' in dot
 
 
-def heap_entering_words(a, per_state=None, max_len=None, budget=None):
-    """(length, co-lex) Dijkstra over words: the oracle for the layered walk."""
-    syms = a.alphabet.symbols
-    words = {q: [] for q in range(a.n)}
-    heap = [(0, (), a.initial)]
-    pops = 0
-    while heap:
-        pops += 1
-        if budget is not None and pops > budget:
-            return {q: tuple(ws) for q, ws in words.items()}, True
-        _, kw, q = heapq.heappop(heap)
-        if per_state is not None and len(words[q]) >= per_state:
-            continue
-        w = tuple(syms[i] for i in reversed(kw))
-        words[q].append(w)
-        if max_len is not None and len(w) >= max_len:
-            continue
-        for i, targets in enumerate(a.succ[q]):
-            for t in targets:
-                if per_state is None or len(words[t]) < per_state:
-                    heapq.heappush(heap, (len(w) + 1, (i,) + kw, t))
-    return {q: tuple(ws) for q, ws in words.items()}, False
-
-
 def test_entering_words_match_the_heap_walk():
     rng = random.Random(3)
-    argument_sets = [
-        {"per_state": 1},
-        {"per_state": 2, "max_len": 4},
-        {"max_len": 5},
-        {"max_len": 6, "budget": 0},
-        {"max_len": 6, "budget": 1},
-        {"per_state": 3, "budget": 7},
-        {"max_len": 8, "budget": 50},
-    ]
+    argument_sets = [(5, 10 ** 4), (6, 0), (6, 1), (8, 50)]  # (max_len, budget)
     truncated = 0
     for _ in range(300):
         d = random_feasible_dfa(rng, max_n=6, max_sigma=3)
-        for kwargs in argument_sets:
-            got = shortest_entering_words(d, **kwargs)
-            assert got == heap_entering_words(d, **kwargs), kwargs
-            truncated += got[1]
+        for max_len, budget in argument_sets:
+            words = {q: [] for q in range(d.n)}
+            cut = any(entering_layers(d, words, max_len, budget))
+            got = {q: tuple(ws) for q, ws in words.items()}, cut
+            assert got == heap_entering_words(d, max_len=max_len, budget=budget), (max_len, budget)
+            truncated += cut
     assert 0 < truncated < 300 * len(argument_sets)
+
+
+def test_the_entering_tree_reads_the_least_entering_words(fixtures_dir):
+    rng = random.Random(3)
+    dfas = [random_feasible_dfa(rng, max_n=6, max_sigma=3) for _ in range(300)]
+    fixtures = [parse_automaton(p.read_text()) for p in sorted(fixtures_dir.glob("*.aut"))]
+    dfas += [trim_basic(a) for a in fixtures if a.deterministic]
+    dfas += [reduce_betweenness_to_dfa(inst).automaton for inst in enumerate_small_betweenness()]
+    for d in dfas:
+        parent, symbol = _entering_tree(d, "test")
+        words = {}
+        for state in range(d.n):
+            w, q = [], state
+            while symbol[q] is not None:
+                w.append(symbol[q])
+                q = parent[q]
+            words[state] = (tuple(reversed(w)),)
+        assert words == heap_entering_words(d, per_state=1)[0], d
 
 
 def _table_automata(fixtures_dir):

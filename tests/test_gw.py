@@ -18,10 +18,10 @@ from wheelerkit import (
     solve_betweenness,
     with_alphabet_order,
 )
-from wheelerkit.gw import triple_satisfied
 from wheelerkit.language import NOT_WHEELER, WHEELER
 from wheelerkit.wheeler import WheelerOrder
 from conftest import make
+from reference import triple_satisfied
 
 
 def test_gw_automaton_identity_order_comes_first(wdfa6):

@@ -27,8 +27,7 @@ from wheelerkit import (
 )
 from wheelerkit.errors import AlphabetTooLarge, InfeasibleEnumeration, TooManyElements
 from wheelerkit import gw, wheeler
-from wheelerkit.gw import DEFAULT_MAX_SIGMA, _first_order, triple_satisfied
-from wheelerkit.automaton import shortest_entering_words
+from wheelerkit.gw import DEFAULT_MAX_SIGMA, _first_order
 from wheelerkit.language import (
     BOUNDED_WHEELER,
     NOT_WHEELER,
@@ -48,7 +47,8 @@ from wheelerkit.wheeler import (
     verify_wheeler,
 )
 from conftest import FIXTURES
-from reference import independent_language_status, least_entering_words, word_before
+from reference import (heap_entering_words, independent_language_status, least_entering_words,
+                       triple_satisfied, word_before)
 from corpus import (enumerate_small_betweenness, random_feasible_dfa, random_trimmed_nfa,
                     random_wheeler_nfa)
 
@@ -65,7 +65,7 @@ def oracle_gw_automaton(a, max_sigma=DEFAULT_MAX_SIGMA, budget=10 ** 6):
     if isinstance(input_consistency(a), WheelerViolation):
         return None
     if a.deterministic:
-        entering, _ = shortest_entering_words(a, per_state=1)
+        entering, _ = heap_entering_words(a, per_state=1)
         if not all(entering.values()):
             raise WheelerkitError("gw check wants a trimmed automaton")
         for symbols in perms:

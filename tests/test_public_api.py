@@ -1,7 +1,10 @@
 """The package's public names, pinned: a name joins or leaves the API only
 by an edit here."""
 
+import ast
 import inspect
+import pathlib
+from collections import Counter
 
 import pytest
 
@@ -46,3 +49,36 @@ def test_public_names_are_pinned():
 def test_name_is_not_importable_from_the_package(name):
     with pytest.raises(ImportError):
         exec(f"from wheelerkit import {name}", {})
+
+
+# Library definitions nothing in the library refers to, kept because the
+# benchmark's tracer looks them up by name (ROADMAP item 2).
+TRACED_ONLY = ["minwdfa.compute_fingerprint", "minwdfa.enumerate_prefixes"]
+
+
+def _referenced(node):
+    """Names an AST subtree refers to: names, attributes and imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_every_library_definition_is_used_or_exported():
+    """A module-level function or class in the package is referred to by
+    library code outside its own definition, or exported: a path that a
+    faster one replaced, or a test-only reference, cannot stay behind."""
+    package = pathlib.Path(wheelerkit.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))
+             if p.name != "__init__.py"}
+    refs = Counter(name for tree in trees.values() for name in _referenced(tree))
+    unused = [f"{module}.{node.name}"
+              for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in PUBLIC
+              # every reference lies inside the definition itself
+              and refs[node.name] == Counter(_referenced(node))[node.name]]
+    assert sorted(unused) == TRACED_ONLY
