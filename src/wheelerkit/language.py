@@ -6,8 +6,10 @@ cycle at both of those states, gamma is a suffix of neither, and gamma sits
 co-lexicographically on one side of both (with |mu|, |nu| <= |gamma| <=
 n^3 + 2n^2 + n + 2 for the minimum DFA size n).  An exact, cap-free walk
 (`witness_conflicts`), one per cyclic component of the pair product, decides
-`method="both"`.  Two independent deciders back its answer: a capped search
-names a witness, and construct-and-verify gives the certificate.
+`method="both"`, stopping at the first conflict the DFA's order satisfies.
+Two independent deciders back its answer: a capped search names a witness,
+building its candidate gammas one length at a time, and construct-and-verify
+gives the certificate.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, replace
 from functools import cache
+from heapq import heapify, heappop, heappush
 
 from .alphabet import is_suffix
 from .automaton import determinize, dfa_walk, entering_layers, minimize, trim_basic
@@ -135,17 +138,21 @@ def _side_conditions(alphabet, mu, nu, gamma):
 class WitnessCandidates:
     """Order-independent raw material for the witness search.
 
-    `gammas` maps each candidate cycle word to the anchor pairs it cycles at;
-    `entering` lists the words taken so far that reach each state, by
-    (length, co-lex); `walk`, the `entering_layers` walk of the DFA they
-    were collected from, up to the longest gamma, takes them one length
-    layer at a time (None once it has ended), and `layers` counts the layers
-    taken whole.  `truncated` records that some enumeration hit its work
-    budget, in which case an empty search result is not a coverage claim; a
-    budget cut of the walk shows there once `take` has run it to its end.
+    `bases[d]` lists (base, anchor pair) for the cycle words of length d;
+    the candidate gammas are their pumps `base * k` within `caps`, built one
+    length at a time by `buckets` (`gammas` builds them all, each with the
+    anchor pairs it cycles at).  `entering` lists the words taken so far that
+    reach each state, by (length, co-lex); `walk`, the `entering_layers`
+    walk of the DFA they were collected from, up to the longest gamma, takes
+    them one length layer at a time (None once it has ended), and `layers`
+    counts the layers taken whole.  `truncated` records that some enumeration
+    hit its work budget, in which case an empty search result is not a
+    coverage claim; a budget cut of the walk shows there once `take` has run
+    it to its end.
     """
 
-    gammas: dict
+    bases: dict
+    caps: SearchCaps
     entering: dict
     truncated: bool
     walk: object
@@ -162,47 +169,67 @@ class WitnessCandidates:
                 self.truncated |= bool(cut)
                 self.walk = None
 
+    def buckets(self):
+        """Yield (length, {gamma: anchor pairs}) by increasing length, each
+        bucket's gammas built only when it is reached."""
+        caps, heap = self.caps, [(d, d) for d in self.bases]  # (gamma length, base length)
+        heapify(heap)
+        while heap:
+            length, bucket = heap[0][0], {}
+            while heap and heap[0][0] == length:
+                d = heappop(heap)[1]
+                for base, pair in self.bases[d]:
+                    bucket.setdefault(base * (length // d), set()).add(pair)
+                if length + d <= min(caps.gamma_bound, d * caps.pump_cap):
+                    heappush(heap, (length + d, d))
+            yield length, bucket
 
-def _simple_cycle_labels(min_dfa, u, v, max_len, budget):
-    """Labels of simple cycles through (u, v) in the product automaton."""
+    @property
+    def gammas(self):
+        """Every candidate gamma with the anchor pairs it cycles at."""
+        return {gamma: pairs for _, bucket in self.buckets() for gamma, pairs in bucket.items()}
+
+
+def _product_rows(min_dfa):
+    """Successor rows of the pair product, node p * n + q for states p, q:
+    (symbol, successor) for each symbol both states read, in rank order."""
+    syms, delta, n = min_dfa.alphabet.symbols, min_dfa.delta, min_dfa.n
+    return [[(sym, a * n + b) for sym, a, b in zip(syms, delta[p], delta[q])
+             if a is not None and b is not None]
+            for p in range(n) for q in range(n)]
+
+
+def _simple_cycle_labels(rows, start, max_len, budget):
+    """Labels of simple cycles through the product node `start` (`rows`
+    from `_product_rows`), by a depth-first search that stops after
+    `budget` steps, one step per visit of the node on top of its stack."""
     labels = set()
-    truncated = False
+    path = []  # symbols read from `start`
+    nodes, at, on_path = [start], [0], {start}
     steps = 0
-    syms, delta = min_dfa.alphabet.symbols, min_dfa.delta
-    start = (u, v)
-    path = []
-    on_path = {start}
-
-    def moves(node):
-        for sym, a, b in zip(syms, delta[node[0]], delta[node[1]]):
-            if a is not None and b is not None:
-                yield sym, (a, b)
-
-    stack = [(start, moves(start))]
-    while stack:
-        node, it = stack[-1]
+    while nodes:
         steps += 1
         if steps > budget:
-            truncated = True
-            break
-        advanced = False
-        for sym, nxt in it:
+            return labels, True
+        row, i = rows[nodes[-1]], at[-1]
+        while i < len(row):
+            sym, nxt = row[i]
+            i += 1
             if nxt == start:
-                labels.add(tuple(e[0] for e in path) + (sym,))
-                continue
-            if nxt in on_path or len(path) + 1 >= max_len:
-                continue
-            path.append((sym, nxt))
-            on_path.add(nxt)
-            stack.append((nxt, moves(nxt)))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
+                labels.add((*path, sym))
+            elif nxt not in on_path and len(path) + 1 < max_len:
+                at[-1] = i
+                path.append(sym)
+                nodes.append(nxt)
+                at.append(0)
+                on_path.add(nxt)
+                break
+        else:
+            on_path.discard(nodes.pop())
+            at.pop()
             if path:
-                _, gone = path.pop()
-                on_path.discard(gone)
-    return labels, truncated
+                path.pop()
+    return labels, False
 
 
 def collect_candidates(min_dfa, caps):
@@ -212,96 +239,87 @@ def collect_candidates(min_dfa, caps):
     Any cycling word at an anchor pair projects to a closed walk in the
     product automaton; the candidates cover the simple product cycles, their
     two-fold concatenations, and all their pumps within the caps.  The
+    bases (the labels, and the concatenations of each pair's 16 smallest)
+    are kept by length, and their pumps are left to `buckets`.  The
     entering words, up to the longest gamma and `path_count_cap` taken, are
     left to the search to take as far as it reads them.
     """
     n = min_dfa.n
+    rows = _product_rows(min_dfa)
     truncated = False
     bases = {}
     for u in range(n):
         for v in range(u + 1, n):
             labels, trunc = _simple_cycle_labels(
-                min_dfa, u, v, min(caps.cycle_len_cap, n * n), caps.path_count_cap)
+                rows, u * n + v, min(caps.cycle_len_cap, n * n), caps.path_count_cap)
             truncated |= trunc
-            if labels:
-                bases[(u, v)] = labels
+            pool = set(labels)
+            few = sorted(labels)[:16]
+            pool.update(x + y for x in few for y in few if x != y)
+            for base in pool:
+                if len(base) <= caps.gamma_bound:
+                    bases.setdefault(len(base), []).append((base, (u, v)))
 
-    gammas = {}
-    max_gamma = 0
-    for pair, labels in bases.items():
-        pool = set(labels)
-        few = sorted(labels)[:16]
-        for x in few:
-            for y in few:
-                if x != y and len(x) + len(y) <= caps.gamma_bound:
-                    pool.add(x + y)
-        for base in pool:
-            for k in range(1, caps.pump_cap + 1):
-                gamma = base * k
-                if len(gamma) > caps.gamma_bound:
-                    break
-                gammas.setdefault(gamma, set()).add(pair)
-                max_gamma = max(max_gamma, len(gamma))
-
+    max_gamma = max((d * min(caps.pump_cap, caps.gamma_bound // d) for d in bases), default=0)
     entering = {q: [] for q in range(n)}
     walk = entering_layers(min_dfa, entering, max_gamma, caps.path_count_cap)
-    return WitnessCandidates(gammas=gammas, entering=entering, truncated=truncated, walk=walk)
+    return WitnessCandidates(bases=bases, caps=caps, entering=entering,
+                             truncated=truncated, walk=walk)
 
 
 def _gammas_in_order(candidates, key):
-    """The candidate gammas by (length, co-lex): each length bucket is
-    sorted, and its entering words taken, only when the search reaches it."""
-    buckets = {}
-    for gamma in candidates.gammas:
-        buckets.setdefault(len(gamma), []).append(gamma)
-    for length in sorted(buckets):
+    """Yield (key(gamma), gamma, anchor pairs) by (length, co-lex): each
+    length bucket is built and sorted, and its entering words taken, only
+    when the search reaches it."""
+    for length, bucket in candidates.buckets():
         candidates.take(length)
-        yield from sorted(buckets[length], key=key)
+        for kg, gamma in sorted((key(gamma), gamma) for gamma in bucket):
+            yield kg, gamma, bucket[gamma]
 
 
 def search_witness(min_dfa, candidates):
     """Smallest witness over the candidates, by (|gamma|, gamma, mu, nu).
 
-    Visits the gammas one length bucket at a time, sorting a bucket co-lex
-    only when it gets there, and takes entering words only up to the length
-    of the bucket at hand.  Evaluates the side conditions under `min_dfa`'s
-    alphabet order, so the same candidate set can be replayed against
-    reordered copies (its walk stays the one of the DFA it was collected
-    from).  Each candidate gamma cycles at every one of its anchor pairs, so
-    only the entering words and side conditions are checked here; a
-    returned witness always re-validates with check_witness_dfa.
+    Visits the gammas one length bucket at a time, building and sorting a
+    bucket co-lex only when it gets there, and takes entering words only up
+    to the length of the bucket at hand.  Evaluates the side conditions
+    under `min_dfa`'s alphabet order, so the same candidate set can be
+    replayed against reordered copies (its walk stays the one of the DFA it
+    was collected from).  Each candidate gamma cycles at every one of its
+    anchor pairs, so only the entering words and side conditions are
+    checked here, each picked word kept with its co-lex key; a returned
+    witness always re-validates with check_witness_dfa.
     """
     key = min_dfa.alphabet.colex_key
-    for gamma in _gammas_in_order(candidates, key):
-        kg = key(gamma)
-        best = None
-        for (u, v) in candidates.gammas[gamma]:
+    for kg, gamma, anchors in _gammas_in_order(candidates, key):
+        best = None  # (key(mu), key(nu), witness)
+        for (u, v) in anchors:
             picks = {}
             for state in (u, v):
-                less = greater = None
+                less = greater = None  # (key, word)
                 for w in candidates.entering[state]:
                     if len(w) > len(gamma) or is_suffix(gamma, w):
                         continue
                     kw = key(w)
-                    if kw < kg and (less is None or kw < key(less)):
-                        less = w
-                    elif kw > kg and (greater is None or kw < key(greater)):
-                        greater = w
+                    if kw < kg and (less is None or kw < less[0]):
+                        less = (kw, w)
+                    elif kw > kg and (greater is None or kw < greater[0]):
+                        greater = (kw, w)
                 picks[state] = (less, greater)
             for side in (0, 1):
-                wu, wv = picks[u][side], picks[v][side]
-                if wu is None or wv is None:
+                pu, pv = picks[u][side], picks[v][side]
+                if pu is None or pv is None:
                     continue
-                if key(wu) <= key(wv):
-                    cand = Witness(wu, wv, gamma, anchors=(u, v))
+                if pu[0] <= pv[0]:
+                    cand = (pu[0], pv[0], Witness(pu[1], pv[1], gamma, anchors=(u, v)))
                 else:
-                    cand = Witness(wv, wu, gamma, anchors=(v, u))
-                if best is None or (key(cand.mu), key(cand.nu)) < (key(best.mu), key(best.nu)):
+                    cand = (pv[0], pu[0], Witness(pv[1], pu[1], gamma, anchors=(v, u)))
+                if best is None or cand[:2] < best[:2]:
                     best = cand
         if best is not None:
-            if not check_witness_dfa(min_dfa, best):
-                raise InternalDisagreement(f"search produced an invalid witness: {best}")
-            return best
+            if not check_witness_dfa(min_dfa, best[2]):
+                raise InternalDisagreement(f"search produced an invalid witness: {best[2]}")
+            return best[2]
     return None
 
 
@@ -352,7 +370,23 @@ def witness_conflicts(min_dfa):
     """Conflicts that refute exactly the orders under which the language of
     `min_dfa` has a witness (mu, nu, gamma): mu and nu reach states u != v,
     gamma cycles at both, is a suffix of neither, and sorts co-lex on the
-    same side of both.
+    same side of both.  A conflict is a tuple of literals (x, y), "x sorts
+    before y": an order under which all of them hold has a witness; {()}
+    when every order has one.  The whole walk of `_conflicts`, drained into
+    a set.
+    """
+    conflicts = set()
+    for conflict in _conflicts(min_dfa):
+        if not conflict:
+            return {()}
+        conflicts.add(conflict)
+    return conflicts
+
+
+def _conflicts(min_dfa):
+    """Yield each conflict of `witness_conflicts` once, as the walk finds
+    it, the flipped literals included; yield () and stop once both sides
+    are proper suffixes, which refutes every order.
 
     Pumping gamma keeps every condition, so no length bound is needed.  A
     walk reads gamma backwards in the pair product, mu and nu alongside.  A
@@ -371,7 +405,7 @@ def witness_conflicts(min_dfa):
     cyc = sorted(s for comp in _cyclic_components(min_dfa.n, range(min_dfa.n), outs.__getitem__)
                  for s in comp)
     if len(cyc) < 2:
-        return set()
+        return
     m, index = len(cyc), {s: i for i, s in enumerate(cyc)}
     rows = [[index.get(t) for t in delta[s]] for s in cyc]  # successors on a cycle
     roots = (i * m + j for r in range(len(syms))  # pairs i < j sharing an out-symbol
@@ -384,7 +418,7 @@ def witness_conflicts(min_dfa):
         return list(same) + [()] * (init in same) + [
             ((x, c),) for x, other in zip(syms, pred[s]) if x != c and other]
 
-    conflicts = set()
+    found = set()
     sources = {s: [(r, ps) for r, ps in enumerate(pred[s]) if ps] for s in cyc}
     for comp in _cyclic_components(m * m, roots, lambda x: [
             a * m + b for a, b in zip(rows[x // m], rows[x % m])
@@ -397,10 +431,15 @@ def witness_conflicts(min_dfa):
             p, q, a, b = stack.pop()
             if isinstance(a, tuple) and isinstance(b, tuple):
                 if not a + b:  # both proper suffixes: every order has a witness
-                    return {()}
-                conflicts.add(a + b)
+                    yield ()
+                    return
+                new = [a + b]
                 if a and b:  # both after gamma: the flipped literals
-                    conflicts.add(tuple((c, x) for (x, c) in a + b))
+                    new.append(tuple((c, x) for (x, c) in a + b))
+                for conflict in new:
+                    if conflict not in found:
+                        found.add(conflict)
+                        yield conflict
                 continue
             for r, from_p in sources[p]:
                 if pred[q][r]:
@@ -411,7 +450,6 @@ def witness_conflicts(min_dfa):
                         if node not in seen:
                             seen.add(node)
                             stack.append(node)
-    return conflicts
 
 
 def _by_witness(min_dfa, caps):
@@ -455,9 +493,9 @@ def is_language_wheeler_dfa(d, method=METHOD_BOTH, caps=None,
         return _by_witness(min_dfa, caps)
     if method == METHOD_CONSTRUCT:
         return _by_construction(min_dfa, caps, word_cap)
-    position = min_dfa.alphabet.position
+    position = min_dfa.alphabet.position  # the first conflict that holds refutes
     walk = NOT_WHEELER if any(all(position[s] < position[t] for s, t in conflict)
-                              for conflict in witness_conflicts(min_dfa)) else WHEELER
+                              for conflict in _conflicts(min_dfa)) else WHEELER
     verdict = _by_witness(min_dfa, caps) if walk == NOT_WHEELER else None
     if verdict is None or verdict.status == BOUNDED_WHEELER:
         try:

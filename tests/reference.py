@@ -4,8 +4,10 @@ These are direct, unoptimised statements of the paper's definitions (co-lex
 comparison, primitivity, Myhill-Nerode equality, path coherence, betweenness),
 a (length, co-lex) Dijkstra walk over the words entering each state, the
 validators the witness tests need, and the slow paths that faster library
-code replaced.  Nothing in the library calls them, so they live with the
-tests rather than in the package.
+code replaced: among them the witness printer's eager gamma build over a
+cycle search with one generator per node, and the language decision read
+off the whole conflict set.  Nothing in the library calls them, so they live
+with the tests rather than in the package.
 """
 
 import heapq
@@ -46,6 +48,7 @@ from wheelerkit.language import (
     gamma_length_bound,
     is_language_wheeler_dfa,
     search_witness,
+    witness_conflicts,
 )
 from wheelerkit.wheeler import (
     CONDITION_I,
@@ -375,6 +378,90 @@ def eager_witness_verdict(min_dfa, caps):
     if caps.covers(min_dfa.n) and not (candidates.truncated or walk_cut):
         return LanguageVerdict(WHEELER, caps=caps)
     return LanguageVerdict(BOUNDED_WHEELER, caps=caps, reason="no witness within caps")
+
+
+def generator_cycle_labels(min_dfa, u, v, max_len, budget):
+    """Labels of simple cycles through (u, v) in the product automaton, by
+    the depth-first search with one `moves` generator per visited node that
+    `language._simple_cycle_labels` replaced; (labels, truncated)."""
+    labels = set()
+    truncated = False
+    steps = 0
+    syms, delta = min_dfa.alphabet.symbols, min_dfa.delta
+    start = (u, v)
+    path = []
+    on_path = {start}
+
+    def moves(node):
+        for sym, a, b in zip(syms, delta[node[0]], delta[node[1]]):
+            if a is not None and b is not None:
+                yield sym, (a, b)
+
+    stack = [(start, moves(start))]
+    while stack:
+        node, it = stack[-1]
+        steps += 1
+        if steps > budget:
+            truncated = True
+            break
+        advanced = False
+        for sym, nxt in it:
+            if nxt == start:
+                labels.add(tuple(e[0] for e in path) + (sym,))
+                continue
+            if nxt in on_path or len(path) + 1 >= max_len:
+                continue
+            path.append((sym, nxt))
+            on_path.add(nxt)
+            stack.append((nxt, moves(nxt)))
+            advanced = True
+            break
+        if not advanced:
+            stack.pop()
+            if path:
+                _, gone = path.pop()
+                on_path.discard(gone)
+    return labels, truncated
+
+
+def eager_gammas(min_dfa, caps):
+    """Every candidate gamma with its anchor pairs, built at once from the
+    `generator_cycle_labels` of every pair, as `collect_candidates` did
+    before it kept the bases by length; (gammas, truncated)."""
+    n = min_dfa.n
+    truncated = False
+    bases = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            labels, trunc = generator_cycle_labels(
+                min_dfa, u, v, min(caps.cycle_len_cap, n * n), caps.path_count_cap)
+            truncated |= trunc
+            if labels:
+                bases[(u, v)] = labels
+    gammas = {}
+    for pair, labels in bases.items():
+        pool = set(labels)
+        few = sorted(labels)[:16]
+        for x in few:
+            for y in few:
+                if x != y and len(x) + len(y) <= caps.gamma_bound:
+                    pool.add(x + y)
+        for base in pool:
+            for k in range(1, caps.pump_cap + 1):
+                gamma = base * k
+                if len(gamma) > caps.gamma_bound:
+                    break
+                gammas.setdefault(gamma, set()).add(pair)
+    return gammas, truncated
+
+
+def drained_walk_status(min_dfa):
+    """The witness-conflict walk's answer under `min_dfa`'s own order, read
+    off the whole conflict set as `method="both"` did before it stopped at
+    the first conflict that holds."""
+    position = min_dfa.alphabet.position
+    return NOT_WHEELER if any(all(position[s] < position[t] for s, t in conflict)
+                              for conflict in witness_conflicts(min_dfa)) else WHEELER
 
 
 def pair_witness_conflicts(min_dfa):
