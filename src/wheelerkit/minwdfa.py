@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .alphabet import INITIAL_MARK
-from .automaton import Automaton, count_readable_words, minimize
+from .automaton import Automaton, count_readable_words
 from .errors import (
     ConstructionInconsistent,
     InfeasibleEnumeration,
@@ -249,7 +249,10 @@ def build_min_wdfa(min_dfa, depth=None, word_cap=DEFAULT_WORD_CAP):
     """Assemble the minimum WDFA for the language of a minimum DFA.
 
     With the default depth the construction is certifying: the result is
-    verified Wheeler and language-equal to the input, and any inconsistency
+    verified Wheeler and language-equal to the input.  Its state j is final,
+    or has a c-edge, iff rep_state[j] does; so if rep_state maps state 0 to
+    the initial state and t to delta(rep_state[j], c) on each edge (j, c, t),
+    it is a homomorphism, and both accept the same words.  Any inconsistency
     (raised as ConstructionInconsistent) proves the language is not Wheeler.
     A smaller explicit depth is diagnostic only.
     """
@@ -262,6 +265,7 @@ def build_min_wdfa(min_dfa, depth=None, word_cap=DEFAULT_WORD_CAP):
 
     finals = frozenset(j for j in range(m) if rep_state[j] in min_dfa.finals)
     edges = set()
+    homomorphic = rep_state[0] == min_dfa.initial
     for j, rep in enumerate(reps):
         for rank, c in enumerate(min_dfa.alphabet.symbols):
             probe_state = delta[rep_state[j]][rank]
@@ -276,24 +280,20 @@ def build_min_wdfa(min_dfa, depth=None, word_cap=DEFAULT_WORD_CAP):
                 target = m - 1
             else:
                 s, s1 = pos - 1, pos
-                eq_s = rep_state[s] == probe_state
-                eq_s1 = rep_state[s1] == probe_state
-                if eq_s and not eq_s1:
-                    target = s
-                elif eq_s1 and not eq_s:
-                    target = s1
-                elif not eq_s and not eq_s1:
+                eq_s, eq_s1 = rep_state[s] == probe_state, rep_state[s1] == probe_state
+                if not (eq_s or eq_s1):
                     raise ConstructionInconsistent(
                         "probe falls between two representatives of other classes",
                         word=rep, symbol=c)
-                else:
-                    ends_s = keys[s][:1] == last_c
-                    if ends_s == (keys[s1][:1] == last_c):
+                if eq_s and eq_s1:  # the one whose word ends in c
+                    eq_s = keys[s][:1] == last_c
+                    if eq_s == (keys[s1][:1] == last_c):
                         raise ConstructionInconsistent(
                             "end-symbol tie between enclosing representatives",
                             word=rep, symbol=c)
-                    target = s if ends_s else s1
+                target = s if eq_s else s1
             edges.add((j, c, target))
+            homomorphic = homomorphic and rep_state[target] == probe_state
 
     automaton = Automaton(min_dfa.alphabet, m, 0, finals, frozenset(edges))
     order = WheelerOrder(tuple(range(m)))
@@ -301,6 +301,6 @@ def build_min_wdfa(min_dfa, depth=None, word_cap=DEFAULT_WORD_CAP):
         violation = verify_wheeler(automaton, order)
         if violation is not None:
             raise ConstructionInconsistent(f"built automaton is not Wheeler: {violation}")
-        if minimize(automaton) != minimize(min_dfa):
+        if not homomorphic:
             raise ConstructionInconsistent("built automaton changes the language")
     return Wdfa(automaton, order, reps, certifying)

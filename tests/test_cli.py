@@ -118,6 +118,34 @@ def test_min_wdfa_rejects_non_wheeler(fixtures_dir, tmp_path):
     assert code == 1 and block["verdict"] == "not-wheeler"
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-lang", "--method", "both"],
+    ["check-lang", "--method", "construct"],
+    ["check-lang", "--method", "witness"],
+    ["min-wdfa", "-o", "{tmp}/out.aut"],
+    ["check-gw", "--language"],
+])
+def test_every_language_answer_minimizes_once(fixtures_dir, tmp_path, monkeypatch, argv):
+    """The certificate reuses the caller's minimum DFA: no answer minimizes
+    twice.  Every module-level name bound to minimize is counted."""
+    original, calls = wheelerkit.automaton.minimize, []
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "wheelerkit":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    command, *options = argv
+    code, *_ = run_cli(command, str(fixtures_dir / "mind4_wheeler.aut"),
+                       *(option.format(tmp=tmp_path) for option in options))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_check_gw(fixtures_dir):
     code, _, block, _ = run_cli("check-gw", str(fixtures_dir / "notwdfa6.aut"),
                                 "--automaton")

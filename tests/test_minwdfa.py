@@ -241,10 +241,11 @@ def oracle_runs(m, depth, word_cap):
             tuple(m.alphabet.colex_key(r) for r in reps))
 
 
-def oracle_build(m, depth, word_cap):
+def oracle_build(m, depth, word_cap, runs=oracle_runs):
     """Oracle for build_min_wdfa: the transition probes on the oracle's
-    representatives, with words and colex_key in place of the fold's keys."""
-    reps, rep_state, keys = oracle_runs(m, depth, word_cap)
+    representatives, with words and colex_key in place of the fold's keys,
+    certified by language_equal."""
+    reps, rep_state, keys = runs(m, depth, word_cap)
     key = m.alphabet.colex_key
     size = len(reps)
     edges = set()
@@ -340,6 +341,24 @@ def test_fold_matches_the_oracle_on_the_universality_gadgets(universal1, epsilon
             gadgets.append(m)
     for m in gadgets:
         assert_fold_matches_oracle(m, CORPUS_WORD_CAP)
+
+
+def test_the_certificate_matches_language_equality_on_seeded_draws():
+    """At certifying depth, the state-map certificate refuses exactly the
+    builds that language_equal refuses.  The oracle reads the fold's runs,
+    which the tests above pin against oracle_runs; listing every word here
+    would make the test about fifteen times slower."""
+    rng = random.Random(CORPUS_SEED + 31)
+    dfas = [random_feasible_dfa(rng, max_n=7) for _ in range(1500)]
+    dfas += [determinize(trim_basic(random_trimmed_nfa(rng, max_n=6))) for _ in range(600)]
+    seen = set()
+    for m in map(minimize, dfas):
+        got = outcome(build_min_wdfa, m, None, CORPUS_WORD_CAP)
+        depth = certifying_depth(m.n)
+        assert got == outcome(oracle_build, m, depth, CORPUS_WORD_CAP, colex_class_runs), m
+        seen.add("built" if got[0] == "value" else got[1])
+    for expected in ("built", "changes the language", "is not Wheeler", "probe falls between"):
+        assert any(expected in text for text in seen), expected
 
 
 def test_deep_fold_needs_no_recursion():

@@ -82,3 +82,21 @@ def test_every_library_definition_is_used_or_exported():
               # every reference lies inside the definition itself
               and refs[node.name] == Counter(_referenced(node))[node.name]]
     assert sorted(unused) == TRACED_ONLY
+
+
+def test_every_library_import_is_used():
+    """A name a library module imports is referred to in that module: an
+    import that a removed call left behind cannot stay."""
+    package = pathlib.Path(wheelerkit.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                unused += [f"{path.stem}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in loaded]
+    assert unused == []
