@@ -17,7 +17,9 @@ splits each in-label block into ranked classes, sorting states by the
 Wheeler order agrees with those ranks, and the fixpoint refutes every
 order when a class is inconsistent.  The refinement is
 Hopcroft-style: a split re-keys only the successors of its smaller parts,
-so a chain of n states costs about 2n re-keys, not n^2/2.  Existence
+so a chain of n states costs about 2n re-keys, not n^2/2.  On a rooted
+tree its fixpoint is the states grouped by entering word, so the same
+prefix doubling ranks them in one charge of nodes.  Existence
 is then decided by backtracking over the orderings inside each class, in
 one loop that scans, decides and propagates with no call or tuple per node,
 and propagation pushes only pairs it does not know yet.  A state with no
@@ -216,34 +218,45 @@ def _entering_tree(d, caller):
 
 def _colex_candidate(d, tree):
     """DFA states ranked co-lex by the words of `tree` (from `_entering_tree`,
-    read under `d`'s alphabet order), or `verify_wheeler`'s first violation.
-
-    A word read backwards is the symbol path from its state up to the root,
-    so prefix doubling ranks them: rank the first two symbols of each path,
-    then each round ranks twice as many as the pair (rank here, rank at the
-    ancestor that many steps up), the root's empty path lowest, until the
-    ranks are distinct, as a DFA's words are.  About log2(depth) sorts of n
-    pairs, and no word is built.
-    """
+    read under `d`'s alphabet order), or `verify_wheeler`'s first violation."""
     parent, symbol = tree
     pos = d.alphabet.position
-    rank = [0 if s is None else pos[s] + 1 for s in symbol]
-    m = max(d.n, len(pos)) + 1  # (rank, rank) pairs packed as rank * m + rank
+    states = _colex_ranks(parent, [0 if s is None else pos[s] + 1 for s in symbol])
+    order = WheelerOrder.from_sequence(states)
+    return verify_wheeler(d, order) or order
+
+
+def _colex_ranks(parent, rank):
+    """States sorted co-lex by the words their parent chains spell, runs of
+    equal words by id; `rank` (each state's last symbol, the root's lowest)
+    becomes each state's dense word rank, 0 for the least.
+
+    A word read backwards is the symbol path from its state up to the root,
+    whose parent is itself, so prefix doubling ranks them: rank the first
+    two symbols of each path, then each round ranks twice as many as the
+    pair (rank here, rank at the ancestor that many steps up), until a round
+    splits no class, as one that reaches n ranks cannot.  Equal ranks then
+    stay equal however far the paths are read, so words end in the root's
+    lowest rank and a shorter word sorts before the longer one it ends.
+    About log2(depth) sorts of n pairs, and no word is built.
+    """
+    n = len(parent)
+    m = max(n, max(rank) + 1)  # (rank, rank) pairs packed as rank * m + rank
     keys = [x * m + rank[u] for x, u in zip(rank, parent)]
     up = [parent[u] for u in parent]
+    classes = len(set(rank))
     while True:
-        states = sorted(range(d.n), key=keys.__getitem__)
-        r, last = 0, None
+        states = sorted(range(n), key=keys.__getitem__)
+        r, last = -1, None
         for q in states:
             if keys[q] != last:
                 r, last = r + 1, keys[q]
             rank[q] = r
-        if r == d.n:
-            break
+        if r + 1 in (n, classes):
+            return states
+        classes = r + 1
         keys = [x * m + rank[u] for x, u in zip(rank, up)]
         up = [up[u] for u in up]
-    order = WheelerOrder.from_sequence(states)
-    return verify_wheeler(d, order) or order
 
 
 class _OrderSearch:
@@ -273,6 +286,7 @@ class _OrderSearch:
         self.blocks = blocks
         self.budget = budget
         self.nodes = 0
+        self.initial = a.initial
         self.block_of = [0] * a.n
         for bi, states in enumerate(blocks):
             for q in states:
@@ -315,14 +329,37 @@ class _OrderSearch:
         pass over the edges, and a state with one source skips the min and
         max.  Classes with one state skip the sort; the same loop then
         assigns dense ranks and checks the fixpoint.
+
+        A rooted tree, where every state but the initial one has one
+        in-edge and its parent chain reaches the initial state, skips the
+        loop.  There the fixpoint's classes are the states' entering words
+        in co-lex order, which `_colex_ranks` computes from block ranks up
+        the parent tree, and no class can be inconsistent.  The tree is
+        charged once, the first step's keys: one node per state in a block
+        of two or more.  Without the reachability test a cycle the initial
+        state cannot reach would take that path too, and its budget answers
+        would change.
         """
+        sources, succ, by_name, initial = self.sources, self.succ, self.by_name, self.initial
+        one_parent = list(map(len, sources)).count(1) == len(sources) - 1
+        reached = [initial] if one_parent and not sources[initial] else []
+        for q in reached:  # each state once: it has one in-edge
+            for row in succ[q]:
+                reached += row
+        if len(reached) == len(sources):
+            self.count(sum(len(states) for states in self.blocks if len(states) > 1))
+            rank = self.rank
+            states = _colex_ranks([us[0] if us else initial for us in sources], rank)
+            self.classes = classes = [[] for _ in range(rank[states[-1]] + 1)]
+            for q in states:
+                classes[rank[q]].append(q)
+            return True
         cls = list(self.block_of)  # class id of each state
         members = [set(states) for states in self.blocks]
         start, pos = [], 0  # first position of each class, by id
         for states in self.blocks:
             start.append(pos)
             pos += len(states)
-        sources, succ, by_name = self.sources, self.succ, self.by_name
 
         def interval(q):
             us = sources[q]
@@ -423,6 +460,8 @@ class _OrderSearch:
         relation is closed, so an r before p below p is below q, or q would
         precede p.  The second has failed on no input tried, and stays as a
         guard."""
+        if len(self.classes) == len(self.rank):
+            return True  # no class mates, no open pair
         order = [p for states in self.blocks for p in states]  # p in scan order
         n = len(order)
         classes, rank, below, above = self.classes, self.rank, self.below, self.above
@@ -567,7 +606,8 @@ def nfa_wheeler_search(a, budget=DEFAULT_BUDGET):
     SearchBudgetExceeded when the node budget (refinement re-keys plus
     propagation steps, one per pair pushed while not yet oriented) runs out
     first, and WheelerkitError when a state other than the initial one has
-    no in-edge.
+    no in-edge.  A rooted tree's refinement costs one node per state in an
+    in-label block of two or more; a trie then needs no propagation.
     """
     lam = input_consistency(a)
     if isinstance(lam, WheelerViolation):

@@ -15,6 +15,7 @@ from wheelerkit import (
     Automaton,
     OrderedAlphabet,
     SearchBudgetExceeded,
+    dfa_wheeler_order,
     nfa_wheeler_search,
     parse_automaton,
     trim_basic,
@@ -28,7 +29,7 @@ from wheelerkit.wheeler import (
     label_blocks,
     verify_wheeler,
 )
-from corpus import random_trie, random_trimmed_nfa, random_wheeler_nfa
+from corpus import SYMS, random_trie, random_trimmed_nfa, random_wheeler_nfa
 from reference import PairOrderSearch, RoundOrderSearch, order_search
 from test_acceptance import corpus_200
 from test_order_search import (
@@ -101,6 +102,36 @@ edge 2 a 4
 """
 
 
+def rooted_tree(rng, max_n=14):
+    """A rooted NFA tree: each state but the initial one has one in-edge,
+    from a state drawn before it, and siblings may share a label.  Ids are
+    shuffled, so the initial state is anywhere."""
+    n = rng.randint(1, max_n)
+    symbols = SYMS[:rng.randint(1, 3)]
+    edges = {(rng.randrange(v), rng.choice(symbols), v) for v in range(1, n)}
+    leaves = set(range(n)) - {u for u, _, _ in edges}
+    finals = frozenset(q for q in range(n) if q in leaves or rng.random() < 0.2)
+    return shuffled(rng, Automaton(OrderedAlphabet(symbols), n, 0, finals,
+                                   frozenset(edges)))
+
+
+def unrooted_functional_graph(rng, max_n=12):
+    """Each state but the initial one has one in-edge, but a cycle, and the
+    states hanging off it, cannot be reached from the initial state."""
+    n = rng.randint(2, max_n)
+    symbols = SYMS[:rng.randint(1, 3)]
+    cycle = rng.sample(range(1, n), rng.randint(1, n - 1))
+    placed = [0] + cycle
+    edges = {(u, rng.choice(symbols), v) for u, v in zip(cycle[-1:] + cycle, cycle)}
+    for v in range(1, n):
+        if v not in cycle:
+            edges.add((rng.choice(placed), rng.choice(symbols), v))
+            placed.append(v)
+    finals = frozenset(q for q in range(n) if rng.random() < 0.3)
+    return shuffled(rng, Automaton(OrderedAlphabet(symbols), n, 0, finals,
+                                   frozenset(edges)))
+
+
 def differential_inputs(fixtures_dir):
     rng = random.Random(13)
     inputs = [parse_automaton(text)
@@ -116,6 +147,8 @@ def differential_inputs(fixtures_dir):
     inputs += [random_consistent_nfa(rng) for _ in range(500)]
     inputs += [random_trimmed_nfa(rng, max_n=7, max_sigma=3, density=0.3)
                for _ in range(500)]
+    inputs += [rooted_tree(rng) for _ in range(200)]
+    inputs += [unrooted_functional_graph(rng) for _ in range(100)]
     return inputs
 
 
@@ -184,18 +217,22 @@ def test_the_decision_loop_matches_the_pair_search_node_for_node(fixtures_dir):
 
 
 class ScanCheckingSearch(PairOrderSearch):
-    """`PairOrderSearch` that checks, at each open pair p, q its scan finds,
-    that every state above q is above p, and counts the pairs where p
-    already has a mate after it below it."""
+    """`PairOrderSearch` that checks, at each open pair p, q its scan finds
+    with p a state of no out-edges, that every state above q is above p,
+    and counts the pairs where that fails for a p with out-edges and the
+    pairs where p already has a mate after it below it."""
 
     later_below = 0
+    above_only_q = 0
 
     def next_open(self, bi, i, j):
         pos = super().next_open(bi, i, j)
         if pos is not None:
             p = self.blocks[pos[0]][pos[1]]
             q = self.classes[self.rank[p]][pos[2]]
-            assert self.above[q] <= self.above[p], (p, q)
+            if not self.above[q] <= self.above[p]:
+                assert self.sends[p], (p, q)
+                self.above_only_q += 1
             self.later_below += any(r > p for r in self.below[p])
         return pos
 
@@ -204,15 +241,20 @@ def test_every_state_above_an_open_pairs_second_is_above_its_first(fixtures_dir)
     # The scan reaches an open pair p, q with every pair that has a mate
     # before p oriented and the relation closed, so a state above q but not
     # above p would be a later mate r with q before r while p and r are
-    # open.  No input here, nor any of 70,000 random consistent NFAs of up
-    # to 30 states, has one: the sink run's test above[q] <= above[p] never
-    # fails on them, and the run keeps it as a guard.  Pairs whose p has a
-    # later mate below it, which the run's other test reads, do occur.
-    later_below = 0
+    # open.  Where p has no out-edges, no input here, nor any of 70,000
+    # random consistent NFAs of up to 30 states, has one: the sink run's
+    # test above[q] <= above[p] never fails on them, and the run keeps it
+    # as a guard.  A p with out-edges can have one: state 0 of one unrooted
+    # functional graph, before its mates 2 and 3.  Pairs whose p has a later
+    # mate below it, which the run's other test reads, do occur.
+    later_below = above_only_q = 0
     for a in differential_inputs(fixtures_dir):
         search = order_search(a, 10 ** 6, ScanCheckingSearch)[1]
-        later_below += search is not None and search.later_below
+        if search is not None:
+            later_below += search.later_below
+            above_only_q += search.above_only_q
     assert later_below
+    assert above_only_q == 2
 
 
 def test_the_order_is_read_off_the_classes(fixtures_dir):
@@ -261,6 +303,64 @@ def test_a_star_takes_its_leaves_plus_one_node_per_leaf_pair(leaves):
     if nodes:
         with pytest.raises(SearchBudgetExceeded):
             nfa_wheeler_search(star(leaves), budget=nodes - 1)
+
+
+def tree_charge(a):
+    """The states of the in-label blocks of two or more: what the Hopcroft
+    loop's first step keys, and all that `refine` charges on a rooted tree."""
+    return sum(len(states) for states in label_blocks(a, input_consistency(a))
+               if len(states) > 1)
+
+
+def test_a_rooted_tree_refines_in_one_node_per_keyed_state():
+    # A rooted tree's classes are its states' entering words, ranked co-lex
+    # by prefix doubling, and refine charges the tree charge alone: 399
+    # nodes on the 400-state trie, where the Hopcroft loop took 966.  solve
+    # then spends nothing on a trie, whose classes are single states, and
+    # orients the mates of an NFA tree.
+    rng = random.Random(33)
+    tries = [random_trie(rng, n) for n in (50, 100, 200, 400)]
+    trees = [a for a in (rooted_tree(rng) for _ in range(40)) if tree_charge(a)]
+    assert any(not a.deterministic for a in trees)
+    for a in tries + trees:
+        search = _OrderSearch(a, label_blocks(a, input_consistency(a)), 10 ** 9)
+        assert search.refine()
+        assert search.nodes == tree_charge(a)
+        assert search.solve()
+        budget = search.nodes
+        order = nfa_wheeler_search(a, budget=budget)
+        if a.deterministic:
+            assert order == dfa_wheeler_order(a)
+        assert verify_wheeler(a, order) is None
+        with pytest.raises(SearchBudgetExceeded):
+            nfa_wheeler_search(a, budget=budget - 1)
+
+
+# A cycle the initial state cannot reach: 3 and 4 read a from each other, so
+# every state but 0 has one in-edge, but the input is no rooted tree.  The
+# Hopcroft loop keys the a-block {1, 2, 3, 4}, splits off 1 and re-keys 2,
+# 5 nodes, and solve refutes 3 before 4 and 4 before 3 in 4 more.
+UNROOTED = """alphabet a
+states 5
+initial 0
+final 4
+edge 0 a 1
+edge 1 a 2
+edge 3 a 4
+edge 4 a 3
+"""
+
+
+def test_an_unrooted_functional_graph_keeps_the_hopcroft_loop():
+    a = parse_automaton(UNROOTED)
+    search = _OrderSearch(a, label_blocks(a, input_consistency(a)), 10 ** 6)
+    assert search.refine()
+    assert search.nodes == 5 > tree_charge(a)
+    assert not search.solve()
+    assert search.nodes == 9
+    assert nfa_wheeler_search(a, budget=9) is None
+    with pytest.raises(SearchBudgetExceeded):
+        nfa_wheeler_search(a, budget=8)
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 100, 1000, 4000])
